@@ -67,8 +67,6 @@ def cmd_refine(args) -> int:
         real = DepthMap(real.width, real.height, real.data * np.float32(args.depth_scale))
     cfg = RefineConfig(
         bound_fraction=args.bound_fraction,
-        sigma_tolerance=args.tolerance,
-        grid_size=args.grid,
         ransac=RansacConfig(
             iterations=args.ransac_iterations,
             inlier_threshold=args.inlier_threshold,
@@ -86,6 +84,7 @@ def cmd_refine(args) -> int:
         "inlier_count": len(result.inlier_mask),
         "rms_residual": result.rms_residual,
         "objective_value": result.objective_value,
+        "mu_at_bound": result.at_bound,
     }
     if extrinsics is not None:
         doc["refined_position_world"] = _vec(
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-scale", type=float, default=1.0,
                    help="multiply loaded depths by this factor (e.g. 0.001 for mm)")
     p.add_argument("--bound-fraction", type=float, default=0.8)
-    p.add_argument("--grid", type=int, default=33, help="coarse grid samples")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="sigma tolerance [m]")
     p.add_argument("--ransac-iterations", type=int, default=256)
     p.add_argument("--inlier-threshold", type=float, default=0.007)
     p.add_argument("--min-inlier-fraction", type=float, default=0.3)

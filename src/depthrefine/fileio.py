@@ -223,8 +223,8 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
             fy=_number_field(doc, "fy"),
             cx=_number_field(doc, "cx"),
             cy=_number_field(doc, "cy"),
-            width=int(_number_field(doc, "width")),
-            height=int(_number_field(doc, "height")),
+            width=_number_field(doc, "width"),
+            height=_number_field(doc, "height"),
         )
         dims = CuboidDims(*_vec3_field(doc, "cad_dims"))
     except ValueError as exc:

@@ -156,8 +156,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            # A fractional pixel count is a malformed input, not one to truncate.
+            if not (math.isfinite(value) and value == int(value)):
+                raise ValueError(f"{name} must be an integral pixel count, got {value!r}")
+            object.__setattr__(self, name, int(value))
         vals = [self.fx, self.fy, self.cx, self.cy]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("intrinsics must be finite")

@@ -6,9 +6,12 @@ reported farther away, along the camera ray, with the image unchanged.
 This module recovers the true distance and size from one measured depth
 map. A single parameter sigma slides the model along the ray while
 shrinking it just enough to keep the silhouette fixed (scale factor
-mu = 1 - sigma/||p||); the optimizer picks the sigma whose rendered depth
-best matches the measurement in mean squared error over a robust inlier
-set, then reports the corrected position and the rescaled dimensions.
+mu = 1 - sigma/||p||). That slide-and-rescale leaves the rendered support
+unchanged and multiplies every rendered depth by mu, so the render at
+sigma equals mu times the render at sigma=0. The mean squared residual
+over a robust inlier set is therefore a quadratic in mu, minimized in
+closed form from a single render; the module reports the corrected
+position and the rescaled dimensions.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ from .geometry import (
     apply_sigma_to_pose,
 )
 from .renderer import DepthMap, TriangleMesh, render_depth
-
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class ResidualSample:
@@ -71,17 +71,11 @@ class RansacConfig:
 @dataclass(frozen=True)
 class RefineConfig:
     bound_fraction: float = 0.8
-    sigma_tolerance: float = 1e-4
-    grid_size: int = 33
     ransac: RansacConfig = field(default_factory=RansacConfig)
 
     def __post_init__(self):
         if not 0.0 < self.bound_fraction < 1.0:
             raise ValueError("bound_fraction must be in (0, 1)")
-        if not self.sigma_tolerance > 0.0:
-            raise ValueError("sigma_tolerance must be positive")
-        if self.grid_size < 3:
-            raise ValueError("grid_size must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -93,6 +87,7 @@ class RefinementResult:
     inlier_mask: frozenset[tuple[int, int]]
     rms_residual: float
     objective_value: float
+    at_bound: bool
 
 
 def residual_samples(real: DepthMap, virtual: DepthMap) -> list[ResidualSample]:
@@ -208,32 +203,6 @@ def ransac_inliers(
     return frozenset(samples[k].pixel for k in np.nonzero(final)[0])
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize unimodal-ish f on [lo, hi], returning the best point evaluated."""
-    a, b = float(lo), float(hi)
-    if b - a <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def refine(
     coarse: Pose,
     mesh: TriangleMesh,
@@ -244,11 +213,15 @@ def refine(
 ) -> RefinementResult:
     """Correct a scale-ambiguous pose against a measured depth map.
 
-    Stage 1 renders at sigma=0 and freezes a robust inlier set (the
-    silhouette is sigma-invariant, so one vote suffices). Stage 2 seeds a
-    uniform grid over sigma in [-bound_fraction*pz, +bound_fraction*pz]
-    and polishes the bracketing interval by golden-section descent to
-    sigma_tolerance. The orientation passes through untouched.
+    Renders once at sigma=0, pairs rendered and measured depths and
+    freezes a robust inlier set (the silhouette is sigma-invariant, so one
+    vote suffices). Because the render at sigma equals mu times the
+    sigma=0 render v0 on the same pixels (up to float32 rounding), the
+    objective mean((d - mu*v0)^2) over the inliers is a convex quadratic in
+    mu, and so in sigma, minimized by mu* = <d,v0>/<v0,v0>. The matching
+    sigma* = (1 - mu*)*||p|| is clipped to the search interval
+    [-bound_fraction*pz, +bound_fraction*pz]; `at_bound` reports whether
+    the clip moved it. The orientation passes through untouched.
     """
     if cfg is None:
         cfg = RefineConfig()
@@ -262,28 +235,28 @@ def refine(
         raise NoOverlapError("no pixel is valid in both the render and the measurement")
     inliers = ransac_inliers(samples, cfg.ransac)
     sel = _inlier_array(inliers, real.data.shape)
+    if not sel.any():
+        raise NoOverlapError("the inlier set is empty")
+    d = real.data[sel].astype(np.float64)
+    v0 = virtual0.data[sel].astype(np.float64)
 
-    def f(sigma: float) -> float:
-        return objective(sigma, mesh, coarse, intr, real, sel)
-
+    mu_star = float(d @ v0) / float(v0 @ v0)
     bound = cfg.bound_fraction * pz
-    grid = np.linspace(-bound, bound, cfg.grid_size)
-    values = [f(s) for s in grid]
-    k = int(np.argmin(values))
-    lo = grid[k - 1] if k > 0 else grid[0]
-    hi = grid[k + 1] if k < cfg.grid_size - 1 else grid[-1]
-
-    sigma_opt, f_opt = _golden_section(f, float(lo), float(hi), cfg.sigma_tolerance)
-    if values[k] < f_opt:
-        sigma_opt, f_opt = float(grid[k]), values[k]
+    sigma_star = (1.0 - mu_star) * float(np.linalg.norm(coarse.position))
+    sigma_opt = min(max(sigma_star, -bound), bound)
 
     refined_pose, mu_opt = apply_sigma_to_pose(coarse, sigma_opt)
+    diff = d - mu_opt * v0
+    f_opt = float(np.mean(diff * diff))
+    if not math.isfinite(f_opt):
+        raise NumericalError(f"objective is not finite at sigma={sigma_opt}")
     return RefinementResult(
-        sigma_opt=float(sigma_opt),
-        mu_opt=float(mu_opt),
+        sigma_opt=sigma_opt,
+        mu_opt=mu_opt,
         refined_pose=refined_pose,
         estimated_dims=cad_dims.scaled(mu_opt),
         inlier_mask=inliers,
         rms_residual=math.sqrt(f_opt),
-        objective_value=float(f_opt),
+        objective_value=f_opt,
+        at_bound=sigma_opt != sigma_star,
     )

@@ -300,8 +300,7 @@ def test_08_physical_grasp_rates_out_of_scope(capsys):
 
 
 def test_09_refinement_runtime(capsys):
-    """One refinement call on a 640x480 map with the default grid stays
-    under one second."""
+    """One refinement call on a 640x480 map stays under one second."""
     intr = DEFAULT_INTRINSICS
     mesh, cad = builtin_model("apple")
     spec = tabletop_scene("timing", true_scale=0.85)

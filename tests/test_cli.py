@@ -127,6 +127,7 @@ class TestRefine:
         assert doc["estimated_dims"] == pytest.approx([0.2, 0.2, 0.01], abs=1e-12)
         assert doc["inlier_count"] == int(np.count_nonzero(measured.valid_mask))
         assert doc["rms_residual"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["mu_at_bound"] is False
         assert "refined_position_world" not in doc
 
     def test_scaled_measurement_recovers_mu(self, workspace):
@@ -143,6 +144,18 @@ class TestRefine:
         assert doc["mu_opt"] == pytest.approx(0.75, abs=1e-3)
         assert doc["refined_position"][2] == pytest.approx(0.375, abs=5e-4)
         assert doc["estimated_dims"][0] == pytest.approx(0.2 * doc["mu_opt"], rel=1e-12)
+
+    def test_mu_at_bound_flag(self, workspace):
+        tmp_path, _, _ = workspace
+        depth_path = tmp_path / "measured.pfm"
+        # mu* = 0.75 needs sigma = 0.125 m, beyond the 0.05 m bound.
+        true_pose = Pose(np.array([0.0, 0.0, 0.375]), UnitQuaternion.identity())
+        store_depth(depth_path, render_depth(square_mesh(half=0.1), true_pose, INTRINSICS, scale=0.75))
+        argv, out = self.refine_args(workspace, depth_path, "--bound-fraction", "0.1")
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["mu_at_bound"] is True
+        assert doc["sigma_opt"] == pytest.approx(0.05, abs=1e-12)
 
     def test_world_frame_position_with_extrinsics(self, workspace, tmp_path):
         _, obj, _ = workspace
@@ -220,6 +233,16 @@ class TestInvalidInputs:
         scene.write_text(json.dumps(doc))
         argv = ["render", "--mesh", obj, "--scene", str(scene),
                 "--out", str(tmp_path / "d.pfm")]
+        assert main(argv) == EXIT_INVALID_INPUT
+
+    def test_fractional_image_size_exits_2(self, workspace):
+        tmp_path, obj, _ = workspace
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, render_fixture_depth())
+        scene = tmp_path / "fractional.json"
+        scene.write_text(json.dumps(scene_doc(width=100.7)))
+        argv = ["refine", "--mesh", obj, "--scene", str(scene),
+                "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_INVALID_INPUT
 
     def test_bad_mesh_exits_2(self, workspace, capsys):

@@ -134,6 +134,17 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=-1.0, width=640, height=480)
 
+    def test_image_size_must_be_integral(self):
+        with pytest.raises(ValueError):
+            CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640.7, height=480)
+        with pytest.raises(ValueError):
+            CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480.5)
+        with pytest.raises(ValueError):
+            CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=math.inf, height=480)
+        intr = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640.0, height=480)
+        assert (intr.width, intr.height) == (640, 480)
+        assert isinstance(intr.width, int)
+
 
 class TestCuboidDims:
     def test_scaled(self):

@@ -1,4 +1,4 @@
-"""Objective, robust inlier selection, and the sigma optimizer."""
+"""Objective, robust inlier selection, and the closed-form sigma fit."""
 
 import math
 
@@ -18,6 +18,7 @@ from depthrefine import (
     ResidualSample,
     UnitQuaternion,
     builtin_model,
+    default_sweep,
     generate_scene,
     objective,
     pixel_support,
@@ -28,7 +29,7 @@ from depthrefine import (
     residual_samples,
     tabletop_scene,
 )
-from depthrefine.refiner import _golden_section
+import depthrefine.refiner as refiner_module
 
 INTR = DEFAULT_INTRINSICS
 
@@ -49,10 +50,6 @@ class TestConfigs:
     def test_refine_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(bound_fraction=1.0)
-        with pytest.raises(ValueError):
-            RefineConfig(sigma_tolerance=0.0)
-        with pytest.raises(ValueError):
-            RefineConfig(grid_size=2)
 
     def test_residual_sample_validation(self):
         with pytest.raises(ValueError):
@@ -191,17 +188,6 @@ class TestRansac:
             ransac_inliers([ResidualSample((0, 0), 0.5, 0.5)], RansacConfig())
 
 
-class TestGoldenSection:
-    def test_minimizes_parabola(self):
-        x, fx = _golden_section(lambda s: (s - 1.3) ** 2, 0.0, 2.0, 1e-6)
-        assert abs(x - 1.3) < 1e-5
-        assert fx < 1e-10
-
-    def test_short_interval(self):
-        x, fx = _golden_section(lambda s: (s - 0.5) ** 2, 0.4999, 0.5001, 1e-3)
-        assert abs(x - 0.5) < 1e-3
-
-
 class TestRefine:
     def test_fixed_point(self):
         mesh, _ = builtin_model("apple")
@@ -294,3 +280,75 @@ class TestRefine:
         cfg = RefineConfig(ransac=RansacConfig(inlier_threshold=1e-6, seed=0))
         with pytest.raises(DegenerateSceneError):
             refine(pose, mesh, CAD_CUBOID, INTR, real, cfg)
+
+    def test_one_render_per_refine(self, monkeypatch):
+        calls = []
+
+        def counting_render(*args, **kwargs):
+            calls.append(1)
+            return render_depth(*args, **kwargs)
+
+        monkeypatch.setattr(refiner_module, "render_depth", counting_render)
+        spec = tabletop_scene("t", 0.8, occluder_fraction=0.2, seed=25)
+        real, coarse = generate_scene(spec)
+        mesh, _ = builtin_model("apple")
+        refine(coarse, mesh, CAD_CUBOID, INTR, real)
+        assert len(calls) == 1
+
+
+# A float32 depth carries a relative rounding error up to 2**-24, about
+# 3e-8 m at 0.5 m, so an exact-fit residual may read as a squared error
+# near 1e-15 on either side; agreement is asked to 1e-6 relative above
+# that floor.
+FLOAT32_MSE_FLOOR = 1e-14
+
+
+class TestClosedFormMatchesRenderedObjective:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tabletop_scene("clean", 0.8, seed=31),
+            tabletop_scene("noisy", 0.8, depth_noise=0.002, seed=32),
+            tabletop_scene("occluded", 0.8, occluder_fraction=0.2, seed=33),
+        ],
+        ids=lambda spec: spec.scene_id,
+    )
+    def test_value_and_minimum(self, spec):
+        real, coarse = generate_scene(spec)
+        mesh, _ = builtin_model("apple")
+        r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
+        assert not r.at_bound
+
+        def f(sigma):
+            return objective(sigma, mesh, coarse, INTR, real, r.inlier_mask)
+
+        f_opt = f(r.sigma_opt)
+        assert r.objective_value == pytest.approx(f_opt, rel=1e-6, abs=FLOAT32_MSE_FLOOR)
+        v0 = render_depth(mesh, coarse, INTR)
+        pixels = sorted(r.inlier_mask)
+        d = np.array([real.data[p] for p in pixels], dtype=np.float64)
+        v = np.array([v0.data[p] for p in pixels], dtype=np.float64)
+        assert r.mu_opt == pytest.approx(float(d @ v) / float(v @ v), rel=1e-9)
+        assert f(r.sigma_opt - 1e-3) >= f_opt
+        assert f(r.sigma_opt + 1e-3) >= f_opt
+
+
+class TestAtBound:
+    def test_clipped_at_bound(self):
+        spec = tabletop_scene("t", 0.7, seed=26)
+        real, coarse = generate_scene(spec)
+        mesh, _ = builtin_model("apple")
+        r = refine(coarse, mesh, CAD_CUBOID, INTR, real, RefineConfig(bound_fraction=0.1))
+        pz = float(coarse.position[2])
+        assert r.at_bound
+        assert r.sigma_opt == 0.1 * pz
+        f_opt = objective(r.sigma_opt, mesh, coarse, INTR, real, r.inlier_mask)
+        for step in (1e-3, 1e-2):
+            inward = objective(r.sigma_opt - step, mesh, coarse, INTR, real, r.inlier_mask)
+            assert inward >= f_opt
+
+    def test_default_sweep_not_at_bound(self):
+        mesh, _ = builtin_model("apple")
+        for spec in default_sweep():
+            real, coarse = generate_scene(spec)
+            assert not refine(coarse, mesh, CAD_CUBOID, INTR, real).at_bound
