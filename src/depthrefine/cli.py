@@ -75,13 +75,14 @@ def cmd_refine(args) -> int:
         ),
     )
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
+    inlier_count = int(np.count_nonzero(result.inlier_mask))
     doc = {
         "sigma_opt": result.sigma_opt,
         "mu_opt": result.mu_opt,
         "refined_position": _vec(result.refined_pose.position),
         "refined_orientation": _quat(result.refined_pose.orientation),
         "estimated_dims": _vec(result.estimated_dims.as_array()),
-        "inlier_count": len(result.inlier_mask),
+        "inlier_count": inlier_count,
         "rms_residual": result.rms_residual,
         "objective_value": result.objective_value,
         "mu_at_bound": result.at_bound,
@@ -93,7 +94,7 @@ def cmd_refine(args) -> int:
     _write_json(args.out, doc)
     print(
         f"sigma_opt={result.sigma_opt:+.4f} m, mu_opt={result.mu_opt:.4f}, "
-        f"{len(result.inlier_mask)} inliers, rms={result.rms_residual:.4f} m -> {args.out}"
+        f"{inlier_count} inliers, rms={result.rms_residual:.4f} m -> {args.out}"
     )
     return EXIT_OK
 

@@ -161,7 +161,9 @@ class EvalRecord:
     success: bool
 
     def __post_init__(self):
-        if self.success and not self.dimensional_error >= 0.0:
+        if self.success and not (
+            self.dimensional_error is not None and self.dimensional_error >= 0.0
+        ):
             raise ValueError("dimensional_error must be non-negative")
 
 
@@ -174,12 +176,16 @@ def simulate_rgb_estimate(true_pose: Pose, true_scale: float) -> Pose:
     return Pose(true_pose.position / true_scale, true_pose.orientation)
 
 
-def leftmost_region(support: set[tuple[int, int]], fraction: float) -> set[tuple[int, int]]:
+def leftmost_region(support: np.ndarray, width: int, fraction: float) -> np.ndarray:
     """Deterministic occlusion region: the leftmost `fraction` of the
-    support pixels, ordered by column then row."""
+    support pixels, ordered by column then row.
+
+    `support` holds flat row-major pixel indices of an image `width`
+    pixels wide; the region is returned in the same form.
+    """
     count = math.ceil(fraction * len(support))
-    ordered = sorted(support, key=lambda p: (p[1], p[0]))
-    return set(ordered[:count])
+    rows, cols = np.divmod(support, width)
+    return support[np.lexsort((rows, cols))[:count]]
 
 
 def generate_scene(
@@ -205,10 +211,11 @@ def generate_scene(
     data = rendered.data.astype(np.float64)
 
     if spec.occluder is not None:
-        region = leftmost_region(pixel_support(rendered), spec.occluder.fraction)
-        for i, j in region:
-            if data[i, j] == 0.0 or spec.occluder.depth < data[i, j]:
-                data[i, j] = spec.occluder.depth
+        region = leftmost_region(pixel_support(rendered), intr.width, spec.occluder.fraction)
+        # The region lies inside the support, where every depth is above 0,
+        # so the nearer of object and occluder is the minimum.
+        flat = data.reshape(-1)
+        flat[region] = np.minimum(flat[region], spec.occluder.depth)
 
     if spec.depth_noise > 0.0:
         valid = data > 0.0

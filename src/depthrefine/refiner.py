@@ -36,21 +36,6 @@ from .geometry import (
 from .renderer import DepthMap, TriangleMesh, render_depth
 
 @dataclass(frozen=True)
-class ResidualSample:
-    """Measured and rendered depth at one pixel (row, col)."""
-
-    pixel: tuple[int, int]
-    real_depth: float
-    virtual_depth: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.real_depth) and self.real_depth > 0.0):
-            raise ValueError(f"real_depth must be positive, got {self.real_depth}")
-        if not (math.isfinite(self.virtual_depth) and self.virtual_depth > 0.0):
-            raise ValueError(f"virtual_depth must be positive, got {self.virtual_depth}")
-
-
-@dataclass(frozen=True)
 class RansacConfig:
     """Robust line fit d = a*d_hat + b separating object pixels from occluders."""
 
@@ -84,36 +69,21 @@ class RefinementResult:
     mu_opt: float
     refined_pose: Pose
     estimated_dims: CuboidDims
-    inlier_mask: frozenset[tuple[int, int]]
+    inlier_mask: np.ndarray  # read-only boolean (H, W) mask
     rms_residual: float
     objective_value: float
     at_bound: bool
 
 
-def residual_samples(real: DepthMap, virtual: DepthMap) -> list[ResidualSample]:
-    """Paired samples at pixels valid in both maps, row-major order."""
+def residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
+    """Flat row-major int64 indices of the pixels valid in both maps.
+
+    `DepthMap` guarantees that every valid depth is finite and positive,
+    so each index pairs two usable depths.
+    """
     if real.data.shape != virtual.data.shape:
         raise ValueError("depth map shapes differ")
-    both = real.valid_mask & virtual.valid_mask
-    rows, cols = np.nonzero(both)
-    return [
-        ResidualSample((int(i), int(j)), float(real.data[i, j]), float(virtual.data[i, j]))
-        for i, j in zip(rows, cols)
-    ]
-
-
-def _inlier_array(inliers, shape) -> np.ndarray | None:
-    """Normalize an inlier pixel collection to a boolean mask, None = all."""
-    if inliers is None:
-        return None
-    if isinstance(inliers, np.ndarray):
-        if inliers.shape != shape or inliers.dtype != bool:
-            raise ValueError("inlier mask must be a boolean array of the map shape")
-        return inliers
-    mask = np.zeros(shape, dtype=bool)
-    for i, j in inliers:
-        mask[i, j] = True
-    return mask
+    return np.flatnonzero(real.valid_mask & virtual.valid_mask)
 
 
 def objective(
@@ -122,13 +92,13 @@ def objective(
     pose: Pose,
     intr: CameraIntrinsics,
     real: DepthMap,
-    inliers=None,
+    inliers: np.ndarray | None = None,
 ) -> float:
     """Mean squared depth residual at the given sigma.
 
     Renders the model at the slid-and-scaled pose, intersects the render's
     support with the measurement's valid pixels (and with `inliers` when
-    given: a pixel set or boolean mask), and averages the squared
+    given: a boolean mask of the map shape), and averages the squared
     differences. Empty intersection means the coarse pose is too wrong to
     refine and raises NoOverlapError.
     """
@@ -137,9 +107,11 @@ def objective(
     transformed, mu = apply_sigma_to_pose(pose, sigma)
     virtual = render_depth(mesh, transformed, intr, scale=mu)
     mask = virtual.valid_mask & real.valid_mask
-    sel = _inlier_array(inliers, mask.shape)
-    if sel is not None:
-        mask &= sel
+    if inliers is not None:
+        inliers = np.asarray(inliers)
+        if inliers.shape != mask.shape or inliers.dtype != bool:
+            raise ValueError("inlier mask must be a boolean array of the map shape")
+        mask &= inliers
     rho = int(np.count_nonzero(mask))
     if rho == 0:
         raise NoOverlapError(
@@ -152,22 +124,25 @@ def objective(
     return value
 
 
-def ransac_inliers(
-    samples: list[ResidualSample], cfg: RansacConfig
-) -> frozenset[tuple[int, int]]:
-    """Robustly fit d = a*d_hat + b and return the consenting pixels.
+def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarray:
+    """Robustly fit d = a*d_hat + b and return the positions of the consenting pairs.
 
+    `d` and `v` are the paired measured and rendered depths, float64.
     Two-point hypotheses are scored by |residual| <= inlier_threshold; the
     best consensus set is refit by least squares and the final inliers are
-    recomputed against the refit line. Deterministic for a fixed seed.
+    recomputed against the refit line. Returns the ascending int64
+    positions into `d` of the final inliers. Deterministic for a fixed seed.
     """
-    n = len(samples)
+    n = len(d)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    d = np.array([s.real_depth for s in samples], dtype=np.float64)
-    v = np.array([s.virtual_depth for s in samples], dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
 
+    # Each hypothesis is scored in one reused buffer, in the operation
+    # order of abs(d - (a*v + b)). Scoring all hypotheses in one
+    # (iterations, n) broadcast was slower: its temporaries leave the cache.
+    resid = np.empty(n)
+    hit = np.empty(n, dtype=bool)
     best_count = -1
     best_ab = (0.0, 0.0)
     for _ in range(cfg.iterations):
@@ -179,7 +154,11 @@ def ransac_inliers(
         else:
             a = (d[j] - d[i]) / (v[j] - v[i])
             b = d[i] - a * v[i]
-        count = int(np.count_nonzero(np.abs(d - (a * v + b)) <= cfg.inlier_threshold))
+        np.multiply(v, a, out=resid)
+        resid += b
+        np.subtract(d, resid, out=resid)
+        np.abs(resid, out=resid)
+        count = int(np.count_nonzero(np.less_equal(resid, cfg.inlier_threshold, out=hit)))
         if count > best_count:
             best_count = count
             best_ab = (a, b)
@@ -199,8 +178,7 @@ def ransac_inliers(
         b = float(dd.mean() - a * vv.mean())
     else:
         a, b = 0.0, float(dd.mean())
-    final = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
-    return frozenset(samples[k].pixel for k in np.nonzero(final)[0])
+    return np.flatnonzero(np.abs(d - (a * v + b)) <= cfg.inlier_threshold)
 
 
 def refine(
@@ -230,15 +208,20 @@ def refine(
         raise BehindCameraError(f"coarse position z must be positive, got {pz}")
 
     virtual0 = render_depth(mesh, coarse, intr)
-    samples = residual_samples(real, virtual0)
-    if not samples:
+    pairs = residual_samples(real, virtual0)
+    if pairs.size == 0:
         raise NoOverlapError("no pixel is valid in both the render and the measurement")
-    inliers = ransac_inliers(samples, cfg.ransac)
-    sel = _inlier_array(inliers, real.data.shape)
-    if not sel.any():
+    d_all = real.data.ravel()[pairs].astype(np.float64)
+    v_all = virtual0.data.ravel()[pairs].astype(np.float64)
+    keep = ransac_inliers(d_all, v_all, cfg.ransac)
+    if keep.size == 0:
         raise NoOverlapError("the inlier set is empty")
-    d = real.data[sel].astype(np.float64)
-    v0 = virtual0.data[sel].astype(np.float64)
+    d = d_all[keep]
+    v0 = v_all[keep]
+    inlier_mask = np.zeros(real.data.size, dtype=bool)
+    inlier_mask[pairs[keep]] = True
+    inlier_mask = inlier_mask.reshape(real.data.shape)
+    inlier_mask.flags.writeable = False
 
     mu_star = float(d @ v0) / float(v0 @ v0)
     bound = cfg.bound_fraction * pz
@@ -255,7 +238,7 @@ def refine(
         mu_opt=mu_opt,
         refined_pose=refined_pose,
         estimated_dims=cad_dims.scaled(mu_opt),
-        inlier_mask=inliers,
+        inlier_mask=inlier_mask,
         rms_residual=math.sqrt(f_opt),
         objective_value=f_opt,
         at_bound=sigma_opt != sigma_star,

@@ -206,13 +206,14 @@ def render_depth(
     depth = 1.0 / inv_z[inside]
     flat = (py[inside] * w + px[inside]).astype(np.int64)
 
-    zbuf = np.full(w * h, np.inf, dtype=np.float64)
-    np.minimum.at(zbuf, flat, depth)
-    out = np.where(np.isinf(zbuf), INVALID_DEPTH, zbuf).astype(np.float32)
-    return DepthMap(w, h, out.reshape(h, w))
+    # Rounding to float32 is monotone, so taking the minimum after rounding
+    # stores the same value as rounding the float64 minimum.
+    zbuf = np.full(w * h, np.inf, dtype=np.float32)
+    np.minimum.at(zbuf, flat, depth.astype(np.float32))
+    zbuf[zbuf == np.inf] = INVALID_DEPTH
+    return DepthMap(w, h, zbuf.reshape(h, w))
 
 
-def pixel_support(d: DepthMap) -> set[tuple[int, int]]:
-    """Pixels (row, col) holding valid depths."""
-    rows, cols = np.nonzero(d.valid_mask)
-    return {(int(i), int(j)) for i, j in zip(rows, cols)}
+def pixel_support(d: DepthMap) -> np.ndarray:
+    """Flat row-major int64 indices of the pixels holding valid depths."""
+    return np.flatnonzero(d.valid_mask)

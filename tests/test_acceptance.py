@@ -70,11 +70,9 @@ def test_01_projection_invariance(capsys):
         moved_pose, mu = apply_sigma_to_pose(pose, sigma)
         moved = render_depth(mesh, moved_pose, intr, scale=mu)
         s0, s1 = pixel_support(base), pixel_support(moved)
-        worst_support = max(worst_support, len(s0 ^ s1) / len(s0))
-        common = sorted(s0 & s1)
-        ii = np.array([p[0] for p in common])
-        jj = np.array([p[1] for p in common])
-        ratio = moved.data[ii, jj].astype(np.float64) / (mu * base.data[ii, jj])
+        worst_support = max(worst_support, len(np.setxor1d(s0, s1)) / len(s0))
+        common = np.intersect1d(s0, s1)
+        ratio = moved.data.ravel()[common].astype(np.float64) / (mu * base.data.ravel()[common])
         worst_depth = max(worst_depth, float(np.abs(ratio - 1.0).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_support < 0.02 and worst_depth < 1e-6 and elapsed < 30.0
@@ -103,12 +101,11 @@ def test_02_optimizer_matches_closed_form_scale(capsys):
         real, coarse = generate_scene(spec, intr)
         result = refine(coarse, mesh, cad, intr, real)
         virtual0 = render_depth(mesh, coarse, intr)
-        num = den = 0.0
-        for s in residual_samples(real, virtual0):
-            if s.pixel in result.inlier_mask:
-                num += s.real_depth * s.virtual_depth
-                den += s.virtual_depth * s.virtual_depth
-        mu_hat = num / den
+        pairs = residual_samples(real, virtual0)
+        inliers = pairs[result.inlier_mask.ravel()[pairs]]
+        d = real.data.ravel()[inliers].astype(np.float64)
+        v = virtual0.data.ravel()[inliers].astype(np.float64)
+        mu_hat = math.fsum(d * v) / math.fsum(v * v)
         worst = max(worst, abs(result.mu_opt - mu_hat) / result.mu_opt)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 60.0
@@ -170,12 +167,13 @@ def test_04_occlusion_robustness(capsys):
         # the clean ground-truth support.
         gt = render_depth(mesh, spec.true_pose, intr, scale=level)
         support = pixel_support(gt)
-        occluded = leftmost_region(support, 0.2)
-        clean = support - occluded
+        occluded = leftmost_region(support, intr.width, 0.2)
+        clean = np.setdiff1d(support, occluded)
         result = refine(coarse, mesh, cad, intr, real)
-        worst_retain = min(worst_retain, len(result.inlier_mask & clean) / len(clean))
+        inlier = result.inlier_mask.ravel()
+        worst_retain = min(worst_retain, np.count_nonzero(inlier[clean]) / len(clean))
         worst_reject = min(
-            worst_reject, 1.0 - len(result.inlier_mask & occluded) / len(occluded)
+            worst_reject, 1.0 - np.count_nonzero(inlier[occluded]) / len(occluded)
         )
         worst_err = max(
             worst_err, dimensional_error(result.estimated_dims, cad.scaled(level))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrefine import (
     CAD_CUBOID,
@@ -15,7 +17,6 @@ from depthrefine import (
     Pose,
     RansacConfig,
     RefineConfig,
-    ResidualSample,
     UnitQuaternion,
     builtin_model,
     default_sweep,
@@ -51,12 +52,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             RefineConfig(bound_fraction=1.0)
 
-    def test_residual_sample_validation(self):
-        with pytest.raises(ValueError):
-            ResidualSample((0, 0), 0.0, 0.5)
-        with pytest.raises(ValueError):
-            ResidualSample((0, 0), 0.5, -0.1)
-
 
 class TestObjective:
     def test_self_residual_zero(self):
@@ -86,7 +81,7 @@ class TestObjective:
         pose = apple_pose()
         d0 = render_depth(mesh, pose, INTR)
         data = d0.data.copy()
-        i, j = sorted(pixel_support(d0))[0]
+        i, j = divmod(int(pixel_support(d0)[0]), INTR.width)
         data[i, j] += np.float32(0.05)
         real = DepthMap(INTR.width, INTR.height, data)
         rho = len(pixel_support(d0))
@@ -99,13 +94,21 @@ class TestObjective:
         pose = apple_pose()
         d0 = render_depth(mesh, pose, INTR)
         data = d0.data.copy()
-        bad = sorted(pixel_support(d0))[:10]
-        for i, j in bad:
-            data[i, j] += np.float32(0.2)
+        rows, cols = np.divmod(pixel_support(d0)[:10], INTR.width)
+        data[rows, cols] += np.float32(0.2)
         real = DepthMap(INTR.width, INTR.height, data)
-        keep = pixel_support(d0) - set(bad)
+        keep = d0.valid_mask
+        keep[rows, cols] = False
         assert objective(0.0, mesh, pose, INTR, real, keep) == 0.0
         assert objective(0.0, mesh, pose, INTR, real) > 0.0
+
+    def test_inliers_must_be_map_shaped_mask(self):
+        mesh, _ = builtin_model("apple")
+        pose = apple_pose()
+        real = render_depth(mesh, pose, INTR)
+        for bad in (pixel_support(real), real.valid_mask.T, real.valid_mask.astype(np.uint8)):
+            with pytest.raises(ValueError):
+                objective(0.0, mesh, pose, INTR, real, bad)
 
     def test_disjoint_support_raises(self):
         mesh, _ = builtin_model("apple")
@@ -125,43 +128,41 @@ class TestResidualSamples:
         a[1, 2] = 0.6
         b[0, 1] = 0.55
         b[0, 0] = 0.7
-        samples = residual_samples(
-            DepthMap(3, 2, a), DepthMap(3, 2, b)
-        )
-        assert [(s.pixel, s.real_depth, s.virtual_depth) for s in samples] == [
-            ((0, 1), pytest.approx(0.5), pytest.approx(0.55))
-        ]
+        pairs = residual_samples(DepthMap(3, 2, a), DepthMap(3, 2, b))
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [1]  # flat index of (0, 1)
+        assert a.ravel()[pairs].tolist() == [pytest.approx(0.5)]
+        assert b.ravel()[pairs].tolist() == [pytest.approx(0.55)]
+
+    def test_shape_mismatch_rejected(self):
+        a = DepthMap(3, 2, np.ones((2, 3), dtype=np.float32))
+        b = DepthMap(2, 3, np.ones((3, 2), dtype=np.float32))
+        with pytest.raises(ValueError):
+            residual_samples(a, b)
 
 
 class TestRansac:
     def test_all_exact_inliers(self):
         mu = 0.9
         v = np.linspace(0.4, 0.7, 60)
-        samples = [ResidualSample((0, k), mu * float(x), float(x)) for k, x in enumerate(v)]
-        got = ransac_inliers(samples, RansacConfig(seed=0))
-        assert got == {s.pixel for s in samples}
+        got = ransac_inliers(mu * v, v, RansacConfig(seed=0))
+        assert got.tolist() == list(range(60))
 
     def test_occluder_split_exact(self):
         # 80 clean pixels on d = 0.9*v, 20 displaced 0.15 m nearer.
         v = np.linspace(0.45, 0.65, 100)
         d = 0.9 * v
         d[:20] -= 0.15
-        samples = [
-            ResidualSample((k // 10, k % 10), float(d[k]), float(v[k])) for k in range(100)
-        ]
         cfg = RansacConfig(inlier_threshold=0.01, seed=3)
-        got = ransac_inliers(samples, cfg)
-        clean = {samples[k].pixel for k in range(20, 100)}
-        assert got == clean
+        got = ransac_inliers(d, v, cfg)
+        assert got.tolist() == list(range(20, 100))
 
     def test_two_samples_both_inliers(self):
-        samples = [ResidualSample((0, 0), 0.5, 0.55), ResidualSample((0, 1), 0.6, 0.70)]
-        got = ransac_inliers(samples, RansacConfig(seed=1))
-        assert got == {(0, 0), (0, 1)}
+        got = ransac_inliers(np.array([0.5, 0.6]), np.array([0.55, 0.70]), RansacConfig(seed=1))
+        assert got.tolist() == [0, 1]
 
     def test_constant_depth_scene(self):
-        samples = [ResidualSample((0, k), 0.5, 0.5) for k in range(40)]
-        got = ransac_inliers(samples, RansacConfig(seed=2))
+        got = ransac_inliers(np.full(40, 0.5), np.full(40, 0.5), RansacConfig(seed=2))
         assert len(got) == 40
 
     def test_deterministic_per_seed(self):
@@ -169,23 +170,113 @@ class TestRansac:
         v = rng.uniform(0.4, 0.8, 200)
         d = 0.8 * v + rng.normal(0.0, 0.002, 200)
         d[::5] += 0.3
-        samples = [ResidualSample((k, 0), float(d[k]), float(v[k])) for k in range(200)]
         cfg = RansacConfig(seed=42)
-        assert ransac_inliers(samples, cfg) == ransac_inliers(samples, cfg)
+        assert np.array_equal(ransac_inliers(d, v, cfg), ransac_inliers(d, v, cfg))
 
     def test_no_consensus_degenerate(self):
         rng = np.random.default_rng(14)
-        samples = [
-            ResidualSample((k, 0), float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
-            for k in range(300)
-        ]
+        d, v = rng.uniform(0.3, 1.5, (300, 2)).T
         cfg = RansacConfig(inlier_threshold=1e-5, min_inlier_fraction=0.3, seed=0)
         with pytest.raises(DegenerateSceneError):
-            ransac_inliers(samples, cfg)
+            ransac_inliers(d, v, cfg)
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateSceneError):
-            ransac_inliers([ResidualSample((0, 0), 0.5, 0.5)], RansacConfig())
+            ransac_inliers(np.array([0.5]), np.array([0.5]), RansacConfig())
+
+
+def reference_ransac_inliers(samples, cfg):
+    """Per-sample loop version of `ransac_inliers`, kept as its oracle.
+
+    `samples` is a list of (pixel, real_depth, virtual_depth); returns the
+    frozenset of the final inlier pixels.
+    """
+    n = len(samples)
+    if n < 2:
+        raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
+    d = np.array([s[1] for s in samples], dtype=np.float64)
+    v = np.array([s[2] for s in samples], dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+
+    best_count = -1
+    best_ab = (0.0, 0.0)
+    for _ in range(cfg.iterations):
+        i, j = rng.choice(n, size=2, replace=False)
+        if v[i] == v[j]:
+            a, b = 0.0, 0.5 * (d[i] + d[j])
+        else:
+            a = (d[j] - d[i]) / (v[j] - v[i])
+            b = d[i] - a * v[i]
+        count = int(np.count_nonzero(np.abs(d - (a * v + b)) <= cfg.inlier_threshold))
+        if count > best_count:
+            best_count = count
+            best_ab = (a, b)
+
+    if best_count < math.ceil(cfg.min_inlier_fraction * n):
+        raise DegenerateSceneError("below the minimum fraction")
+
+    a, b = best_ab
+    consensus = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
+    vv, dd = v[consensus], d[consensus]
+    var = float(np.var(vv))
+    if var > 0.0:
+        a = float(np.cov(vv, dd, bias=True)[0, 1] / var)
+        b = float(dd.mean() - a * vv.mean())
+    else:
+        a, b = 0.0, float(dd.mean())
+    final = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
+    return frozenset(samples[k][0] for k in np.nonzero(final)[0])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DegenerateSceneError:
+        return DegenerateSceneError
+
+
+class TestRansacMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        mu=st.floats(0.5, 1.5),
+        outlier_share=st.floats(0.0, 0.9),
+        noise=st.floats(0.0, 0.01),
+        depth_levels=st.sampled_from([0, 1, 3]),
+        threshold=st.floats(1e-4, 0.05),
+        min_fraction=st.floats(0.05, 0.7),
+        iterations=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_inliers_and_failures(
+        self, n, mu, outlier_share, noise, depth_levels, threshold, min_fraction,
+        iterations, seed, data_seed,
+    ):
+        rng = np.random.default_rng(data_seed)
+        v = rng.uniform(0.3, 1.5, n)
+        if depth_levels:
+            # Few distinct rendered depths exercise the equal-depth pair branch.
+            v = np.round(v * depth_levels) / depth_levels + 0.3
+        d = mu * v + rng.normal(0.0, noise, n)
+        outliers = rng.random(n) < outlier_share
+        d[outliers] -= rng.uniform(0.05, 0.3, int(outliers.sum()))
+        d = np.maximum(d, 1e-6)
+        cfg = RansacConfig(
+            iterations=iterations,
+            inlier_threshold=threshold,
+            min_inlier_fraction=min_fraction,
+            seed=seed,
+        )
+        samples = [(k, float(d[k]), float(v[k])) for k in range(n)]
+        want = _outcome(lambda: reference_ransac_inliers(samples, cfg))
+        got = _outcome(lambda: ransac_inliers(d, v, cfg))
+        if want is DegenerateSceneError:
+            assert got is DegenerateSceneError
+        else:
+            assert got is not DegenerateSceneError
+            assert frozenset(got.tolist()) == want
+            assert np.all(np.diff(got) > 0)
 
 
 class TestRefine:
@@ -228,6 +319,9 @@ class TestRefine:
         assert -bound <= r.sigma_opt <= bound
         assert r.refined_pose.orientation == coarse.orientation
         assert r.rms_residual == pytest.approx(math.sqrt(r.objective_value))
+        assert r.inlier_mask.dtype == bool
+        assert r.inlier_mask.shape == (INTR.height, INTR.width)
+        assert not r.inlier_mask.flags.writeable
 
     def test_deterministic(self):
         spec = tabletop_scene("t", 0.78, depth_noise=0.002, occluder_fraction=0.15, seed=24)
@@ -237,7 +331,7 @@ class TestRefine:
         b = refine(coarse, mesh, CAD_CUBOID, INTR, real)
         assert a.sigma_opt == b.sigma_opt
         assert a.mu_opt == b.mu_opt
-        assert a.inlier_mask == b.inlier_mask
+        assert np.array_equal(a.inlier_mask, b.inlier_mask)
         assert np.array_equal(a.refined_pose.position, b.refined_pose.position)
 
     def test_closed_form_oracle(self):
@@ -325,9 +419,8 @@ class TestClosedFormMatchesRenderedObjective:
         f_opt = f(r.sigma_opt)
         assert r.objective_value == pytest.approx(f_opt, rel=1e-6, abs=FLOAT32_MSE_FLOOR)
         v0 = render_depth(mesh, coarse, INTR)
-        pixels = sorted(r.inlier_mask)
-        d = np.array([real.data[p] for p in pixels], dtype=np.float64)
-        v = np.array([v0.data[p] for p in pixels], dtype=np.float64)
+        d = real.data[r.inlier_mask].astype(np.float64)
+        v = v0.data[r.inlier_mask].astype(np.float64)
         assert r.mu_opt == pytest.approx(float(d @ v) / float(v @ v), rel=1e-9)
         assert f(r.sigma_opt - 1e-3) >= f_opt
         assert f(r.sigma_opt + 1e-3) >= f_opt

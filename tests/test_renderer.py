@@ -56,6 +56,11 @@ class TestDepthMap:
         with pytest.raises(ValueError):
             DepthMap(2, 2, np.array([[0.5, -0.1], [0.0, 1.0]], dtype=np.float32))
 
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DepthMap(2, 2, np.array([[0.5, bad], [0.0, 1.0]], dtype=np.float32))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DepthMap(3, 2, np.zeros((3, 3), dtype=np.float32))
@@ -82,7 +87,7 @@ class TestFrontoParallelSquare:
         u_hi, v_hi, _ = project(INTR, (half, half, 1.0))
         cols = range(math.ceil(u_lo - 0.5), math.floor(u_hi - 0.5) + 1)
         rows = range(math.ceil(v_lo - 0.5), math.floor(v_hi - 0.5) + 1)
-        assert support == {(i, j) for i in rows for j in cols}
+        assert support.tolist() == [i * INTR.width + j for i in rows for j in cols]
 
     def test_shared_diagonal_leaves_no_holes_or_leaks(self):
         # The two triangles share the square's diagonal; the fill rule must
@@ -90,9 +95,8 @@ class TestFrontoParallelSquare:
         # full rectangle regardless of the shared edge.
         d = render_depth(square_mesh(0.05), frontal_pose(0.7), INTR)
         support = pixel_support(d)
-        rows = sorted({p[0] for p in support})
-        cols = sorted({p[1] for p in support})
-        assert len(support) == len(rows) * len(cols)
+        rows, cols = np.divmod(support, INTR.width)
+        assert len(support) == len(np.unique(rows)) * len(np.unique(cols))
 
 
 class TestScalingLaw:
@@ -110,10 +114,11 @@ class TestScalingLaw:
             ds = render_depth(mesh, moved, INTR, scale=mu)
             s0, s1 = pixel_support(d0), pixel_support(ds)
             assert len(s0) > 100
-            assert len(s0 ^ s1) < 0.02 * len(s0)
-            common = np.array(sorted(s0 & s1))
-            i, j = common[:, 0], common[:, 1]
-            ratio = ds.data[i, j].astype(np.float64) / (mu * d0.data[i, j].astype(np.float64))
+            assert len(np.setxor1d(s0, s1)) < 0.02 * len(s0)
+            common = np.intersect1d(s0, s1)
+            ratio = ds.data.ravel()[common].astype(np.float64) / (
+                mu * d0.data.ravel()[common].astype(np.float64)
+            )
             assert np.abs(ratio - 1.0).max() < 1e-6
 
 
@@ -130,7 +135,7 @@ class TestSphereOracle:
         # crossing of a ray lies between the two analytic near-intersections.
         step = max(math.pi / 32, 2 * math.pi / 48)
         sagitta = 1.1 * radius * (1.0 - math.cos(step * math.sqrt(2.0) / 2.0))
-        for i, j in sorted(support)[:: max(1, len(support) // 400)]:
+        for i, j in zip(*np.divmod(support[:: max(1, len(support) // 400)], INTR.width)):
             ray = np.array([(j + 0.5 - INTR.cx) / INTR.fx, (i + 0.5 - INTR.cy) / INTR.fy, 1.0])
             ray /= np.linalg.norm(ray)
             b = float(ray @ center)
@@ -170,7 +175,7 @@ class TestEdgeCases:
     def test_off_screen_mesh_empty_support(self):
         pose = Pose(np.array([5.0, 0.0, 1.0]), UnitQuaternion.identity())
         d = render_depth(square_mesh(), pose, INTR)
-        assert pixel_support(d) == set()
+        assert pixel_support(d).size == 0
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -189,6 +194,24 @@ class TestEdgeCases:
         vals = d.data[d.valid_mask]
         assert np.all(vals <= np.float32(1.0))
         assert np.any(vals == np.float32(1.0))
+
+    def test_sub_ulp_depth_gap_keeps_rounded_minimum(self):
+        # Two full overlapping squares on either side of the float32 rounding
+        # midpoint above 1.0, less than one float32 ulp apart: the nearer
+        # one rounds down to 1.0, the farther one up to the next float32.
+        near, far = 1.0 + 5.9e-8, 1.0 + 6.0e-8
+        assert far - near < np.spacing(np.float32(1.0))
+        assert np.float32(near) != np.float32(far)
+        sq = square_mesh(0.02)
+        for first, second in ((near, far), (far, near)):
+            mesh = TriangleMesh(
+                np.vstack([sq.vertices + [0.0, 0.0, first], sq.vertices + [0.0, 0.0, second]]),
+                np.vstack([sq.triangles, sq.triangles + 4]),
+            )
+            d = render_depth(mesh, frontal_pose(0.0), INTR)
+            vals = d.data[d.valid_mask]
+            assert vals.size > 0
+            assert np.all(vals == np.float32(near))
 
     def test_winding_insensitive(self):
         mesh = square_mesh()
@@ -224,11 +247,13 @@ class TestConvexBounds:
 class TestPixelSupport:
     def test_all_invalid_empty(self):
         d = DepthMap(4, 3, np.zeros((3, 4), dtype=np.float32))
-        assert pixel_support(d) == set()
+        assert pixel_support(d).size == 0
 
     def test_support_matches_mask(self):
         data = np.zeros((3, 4), dtype=np.float32)
         data[1, 2] = 0.7
         data[0, 0] = 1.2
         d = DepthMap(4, 3, data)
-        assert pixel_support(d) == {(1, 2), (0, 0)}
+        support = pixel_support(d)
+        assert support.dtype == np.int64
+        assert support.tolist() == [0, 6]  # flat row-major (0, 0) and (1, 2)
