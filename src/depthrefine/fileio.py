@@ -22,8 +22,8 @@ from .renderer import DepthMap, TriangleMesh
 
 log = logging.getLogger(__name__)
 
-# Reject PFM headers whose pixel count exceeds this; a corrupt header must
-# not drive a giant allocation.
+# Reject PFM headers and scene configs whose pixel count exceeds this; a
+# corrupt header must not drive a giant allocation.
 MAX_PFM_PIXELS = 100_000_000
 
 
@@ -229,6 +229,11 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
         dims = CuboidDims(*_vec3_field(doc, "cad_dims"))
     except ValueError as exc:
         raise ConfigError(f"{path.name}: {exc}") from None
+    # Same bound as a PFM header, checked before anything allocates the image.
+    if intr.width * intr.height > MAX_PFM_PIXELS:
+        raise ConfigError(
+            f"{path.name}: image {intr.width}x{intr.height} exceeds {MAX_PFM_PIXELS} pixels"
+        )
 
     extrinsics = None
     if "world_T_camera" in doc:

@@ -36,8 +36,11 @@ class GraspSamplingConfig:
     table_height: float = -math.inf
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        # -inf (the default) disables the filter; NaN would disable it silently.
+        if math.isnan(self.table_height):
+            raise ValueError("table_height must not be NaN")
         if self.alpha_samples < 1 or self.theta_samples < 1:
             raise ValueError("sample counts must be >= 1")
         if not 0.0 < self.theta_max <= math.pi:

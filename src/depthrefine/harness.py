@@ -146,8 +146,11 @@ class SceneSpec:
     def __post_init__(self):
         if not self.true_scale > 0.0:
             raise ValueError("true_scale must be positive")
-        if self.depth_noise < 0.0 or self.shape_noise < 0.0:
-            raise ValueError("noise levels must be non-negative")
+        for name in ("depth_noise", "shape_noise"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so it would skip the noise step.
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,8 @@ def tabletop_scene(
     up; the model's height axis (y) is posed to point up, so the true
     centroid height is true_scale * dy / 2.
     """
+    if not 0.0 <= occluder_fraction < 1.0:
+        raise ValueError(f"occluder_fraction must be in [0, 1), got {occluder_fraction}")
     _, dims = builtin_model(mesh_id)
     rest_height = 0.5 * true_scale * dims.dy
     camera_pose = Pose(

@@ -206,6 +206,8 @@ def refine(
     pz = float(coarse.position[2])
     if pz <= 0.0:
         raise BehindCameraError(f"coarse position z must be positive, got {pz}")
+    if (real.height, real.width) != (intr.height, intr.width):
+        raise ValueError("real depth map dimensions do not match intrinsics")
 
     virtual0 = render_depth(mesh, coarse, intr)
     pairs = residual_samples(real, virtual0)

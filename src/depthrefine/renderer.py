@@ -108,108 +108,83 @@ def render_depth(
     rot = quat_to_matrix(pose.orientation)
     verts = pose.position + scale * (mesh.vertices @ rot.T)
 
-    zs = verts[:, 2]
+    # Drop near-plane triangles before projecting, so nothing divides by z <= 0.
     tri = mesh.triangles
-    keep = zs[tri].min(axis=1) >= NEAR_PLANE
-    if not np.any(keep):
-        return DepthMap(w, h, np.zeros((h, w), dtype=np.float32))
-    tri = tri[keep]
+    tri = tri[verts[:, 2][tri].min(axis=1) >= NEAR_PLANE]
 
-    v0, v1, v2 = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
-
-    def to_screen(v):
-        u = intr.fx * v[:, 0] / v[:, 2] + intr.cx
-        vv = intr.fy * v[:, 1] / v[:, 2] + intr.cy
-        return u, vv, v[:, 2]
-
-    x0, y0, z0 = to_screen(v0)
-    x1, y1, z1 = to_screen(v1)
-    x2, y2, z2 = to_screen(v2)
+    # Screen coordinates as (3, T) arrays: corner along axis 0, triangle along
+    # axis 1, each row contiguous. Later gathers and filters go row by row
+    # (`x[i][t]`, `np.compress`); fancy indexing along axis 1 was about 4x slower.
+    x, y, z = verts.T[:, tri.T]
+    x = intr.fx * x / z + intr.cx
+    y = intr.fy * y / z + intr.cy
 
     # Force positive orientation (counter-clockwise with v down) by swapping
-    # vertices 1 and 2; windings may be inconsistent in CAD meshes.
-    area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    # corners 1 and 2; windings may be inconsistent in CAD meshes. Building new
+    # arrays frees the gathered (3, 3, T) block.
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     flip = area2 < 0.0
-    x1[flip], x2[flip] = x2[flip], x1[flip].copy()
-    y1[flip], y2[flip] = y2[flip], y1[flip].copy()
-    z1[flip], z2[flip] = z2[flip], z1[flip].copy()
+    x, y, z = (
+        np.stack((a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2])))
+        for a in (x, y, z)
+    )
     area2 = np.abs(area2)
-
-    nondeg = area2 > 0.0
-    if not np.any(nondeg):
-        return DepthMap(w, h, np.zeros((h, w), dtype=np.float32))
-    x0, y0, z0 = x0[nondeg], y0[nondeg], z0[nondeg]
-    x1, y1, z1 = x1[nondeg], y1[nondeg], z1[nondeg]
-    x2, y2, z2 = x2[nondeg], y2[nondeg], z2[nondeg]
-    area2 = area2[nondeg]
 
     # Pixel-center bounding boxes, clipped to the viewport.
     c = PIXEL_CENTER_OFFSET
-    px_lo = np.clip(np.ceil(np.minimum(np.minimum(x0, x1), x2) - c), 0, w - 1).astype(np.int64)
-    px_hi = np.clip(np.floor(np.maximum(np.maximum(x0, x1), x2) - c), 0, w - 1).astype(np.int64)
-    py_lo = np.clip(np.ceil(np.minimum(np.minimum(y0, y1), y2) - c), 0, h - 1).astype(np.int64)
-    py_hi = np.clip(np.floor(np.maximum(np.maximum(y0, y1), y2) - c), 0, h - 1).astype(np.int64)
-
-    # Keep off-screen and sliver-thin boxes out of the candidate list. The
-    # clip above collapses fully off-screen triangles to inverted boxes.
+    x_lo, x_hi = x.min(axis=0), x.max(axis=0)
+    y_lo, y_hi = y.min(axis=0), y.max(axis=0)
+    px_lo = np.clip(np.ceil(x_lo - c), 0, w - 1).astype(np.int64)
+    px_hi = np.clip(np.floor(x_hi - c), 0, w - 1).astype(np.int64)
+    py_lo = np.clip(np.ceil(y_lo - c), 0, h - 1).astype(np.int64)
+    py_hi = np.clip(np.floor(y_hi - c), 0, h - 1).astype(np.int64)
     bw = px_hi - px_lo + 1
     bh = py_hi - py_lo + 1
-    on = (bw > 0) & (bh > 0)
-    mx0 = np.minimum(np.minimum(x0, x1), x2)
-    mx1 = np.maximum(np.maximum(x0, x1), x2)
-    my0 = np.minimum(np.minimum(y0, y1), y2)
-    my1 = np.maximum(np.maximum(y0, y1), y2)
-    on &= (mx1 >= c) & (mx0 <= w - c) & (my1 >= c) & (my0 <= h - c)
-    if not np.any(on):
-        return DepthMap(w, h, np.zeros((h, w), dtype=np.float32))
 
-    x0, y0, z0 = x0[on], y0[on], z0[on]
-    x1, y1, z1 = x1[on], y1[on], z1[on]
-    x2, y2, z2 = x2[on], y2[on], z2[on]
-    area2 = area2[on]
-    px_lo, py_lo, bw, bh = px_lo[on], py_lo[on], bw[on], bh[on]
+    # One candidate filter: degenerate triangles, boxes holding no pixel center
+    # (sliver-thin), and triangles wholly off screen, whose clipped boxes land
+    # on the border column or row.
+    on = (
+        (area2 > 0.0) & (bw > 0) & (bh > 0)
+        & (x_hi >= c) & (x_lo <= w - c) & (y_hi >= c) & (y_lo <= h - c)
+    )
+    x, y, z = (np.compress(on, a, axis=1) for a in (x, y, z))
+    area2, px_lo, py_lo, bw, bh = (a[on] for a in (area2, px_lo, py_lo, bw, bh))
 
-    # Top-left fill rule per edge: with v down and positive orientation, a
-    # "top" edge runs rightward at constant v, a "left" edge runs upward.
-    def top_left(dx, dy):
-        return ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
-
-    tl01 = top_left(x1 - x0, y1 - y0)
-    tl12 = top_left(x2 - x1, y2 - y1)
-    tl20 = top_left(x0 - x2, y0 - y2)
-
+    # One fragment per pixel center in each box; t is the fragment's triangle.
     counts = bw * bh
-    total = int(counts.sum())
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     t = np.repeat(np.arange(counts.shape[0]), counts)
-    k = np.arange(total) - starts[t]
+    k = np.arange(int(counts.sum())) - starts[t]
     px = px_lo[t] + k % bw[t]
     py = py_lo[t] + k // bw[t]
     cu = px + c
     cv = py + c
 
-    e01 = (x1[t] - x0[t]) * (cv - y0[t]) - (y1[t] - y0[t]) * (cu - x0[t])
-    e12 = (x2[t] - x1[t]) * (cv - y1[t]) - (y2[t] - y1[t]) * (cu - x1[t])
-    e20 = (x0[t] - x2[t]) * (cv - y2[t]) - (y0[t] - y2[t]) * (cu - x2[t])
+    # Edge functions with the top-left fill rule: with v down and positive
+    # orientation, a "top" edge runs rightward at constant v, a "left" edge
+    # runs upward.
+    inside = np.ones(t.shape[0], dtype=bool)
+    edges = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        e = dx[t] * (cv - y[i][t]) - dy[t] * (cu - x[i][t])
+        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
+        inside &= (e > 0.0) | ((e == 0.0) & top_left[t])
+        edges.append(e)
+    e01, e12, e20 = (e[inside] for e in edges)
 
-    inside = (
-        ((e01 > 0.0) | ((e01 == 0.0) & tl01[t]))
-        & ((e12 > 0.0) | ((e12 == 0.0) & tl12[t]))
-        & ((e20 > 0.0) | ((e20 == 0.0) & tl20[t]))
-    )
-    if not np.any(inside):
-        return DepthMap(w, h, np.zeros((h, w), dtype=np.float32))
-
-    # Screen barycentrics weight the opposite vertex; interpolating 1/z is
+    # Screen barycentrics weight the opposite corner; interpolating 1/z is
     # exact for planar triangles.
-    inv_z = (e12 * (1.0 / z0[t]) + e20 * (1.0 / z1[t]) + e01 * (1.0 / z2[t])) / area2[t]
-    depth = 1.0 / inv_z[inside]
-    flat = (py[inside] * w + px[inside]).astype(np.int64)
+    t = t[inside]
+    rz = 1.0 / z
+    inv_z = (e12 * rz[0][t] + e20 * rz[1][t] + e01 * rz[2][t]) / area2[t]
+    flat = py[inside] * w + px[inside]
 
     # Rounding to float32 is monotone, so taking the minimum after rounding
     # stores the same value as rounding the float64 minimum.
     zbuf = np.full(w * h, np.inf, dtype=np.float32)
-    np.minimum.at(zbuf, flat, depth.astype(np.float32))
+    np.minimum.at(zbuf, flat, (1.0 / inv_z).astype(np.float32))
     zbuf[zbuf == np.inf] = INVALID_DEPTH
     return DepthMap(w, h, zbuf.reshape(h, w))
 

@@ -245,6 +245,30 @@ class TestInvalidInputs:
                 "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_INVALID_INPUT
 
+    def test_oversized_scene_exits_2(self, workspace, capsys):
+        # 10^10 pixels: rejected while parsing the scene, before the render
+        # would allocate the z-buffer.
+        tmp_path, obj, _ = workspace
+        scene = tmp_path / "huge.json"
+        scene.write_text(json.dumps(
+            scene_doc(width=100_000, height=100_000, cx=50_000.0, cy=50_000.0)
+        ))
+        out = tmp_path / "d.pfm"
+        assert main(["render", "--mesh", obj, "--scene", str(scene), "--out", str(out)]) == (
+            EXIT_INVALID_INPUT
+        )
+        assert "exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_size_mismatch_exits_2(self, workspace, capsys):
+        tmp_path, obj, scene = workspace
+        depth_path = tmp_path / "small.pfm"
+        store_depth(depth_path, DepthMap(50, 50, np.ones((50, 50), dtype=np.float32)))
+        argv = ["refine", "--mesh", obj, "--scene", scene,
+                "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "do not match intrinsics" in capsys.readouterr().err
+
     def test_bad_mesh_exits_2(self, workspace, capsys):
         tmp_path, _, scene = workspace
         bad = tmp_path / "bad.obj"
@@ -300,6 +324,24 @@ class TestSampleGrasps:
         assert 0 < len(doc) < 32
         assert all(entry["position"][2] >= 0.42 for entry in doc)
 
+    def test_nan_table_height_exits_2(self, tmp_path, capsys):
+        # The object sits below the table, so a working filter leaves no
+        # candidate (exit 5); a NaN height must not switch the filter off.
+        out = tmp_path / "grasps.json"
+        base = ["sample-grasps", "--position", "0", "0", "-1", "--out", str(out)]
+        assert main(base + ["--table-height", "0"]) == EXIT_NO_CANDIDATE
+        assert main(base + ["--table-height", "nan"]) == EXIT_INVALID_INPUT
+        assert "table_height" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_radius_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "grasps.json"
+        rc = main(["sample-grasps", "--position", "0", "0", "0.3",
+                   "--radius", "inf", "--out", str(out)])
+        assert rc == EXIT_INVALID_INPUT
+        assert "radius" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_filtered_exits_5(self, tmp_path, capsys):
         rc = main(["sample-grasps", "--position", "0", "0", "0.3",
                    "--radius", "0.15", "--table-height", "10",
@@ -348,6 +390,28 @@ class TestSimulateAndEval:
         table = capsys.readouterr().out
         assert "success: 2/2" in table
         assert "scale-1.000" in table
+
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--depth-noise", "nan"),
+        ("--shape-noise", "nan"),
+        ("--shape-noise", "inf"),
+        ("--occluder-fraction", "nan"),
+    ])
+    def test_non_finite_scene_parameter_exits_2(self, tmp_path, capsys, command, flag, value):
+        # NaN used to skip the noise or occluder step (exit 0 with a clean
+        # scene); an infinite shape noise ended in an OverflowError (exit 1).
+        if command == "simulate":
+            outputs = [tmp_path / "scene.pfm", tmp_path / "scene.json"]
+            argv = ["simulate", "--scale", "0.8", "--out-depth", str(outputs[0]),
+                    "--out-scene", str(outputs[1])]
+        else:
+            outputs = [tmp_path / "records.jsonl"]
+            argv = ["eval", "--scales", "0.8", "--out", str(outputs[0])]
+        assert main(argv + [flag, value]) == EXIT_INVALID_INPUT
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
 
 
 class TestExitCodeMapping:

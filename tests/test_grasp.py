@@ -32,6 +32,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             GraspSamplingConfig(radius=0.1, theta_max=3.5)
 
+    def test_non_finite_radius_and_nan_table_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                GraspSamplingConfig(radius=bad)
+        with pytest.raises(ValueError, match="table_height"):
+            GraspSamplingConfig(radius=0.1, table_height=math.nan)
+        # -inf is the documented "no filter" default.
+        assert GraspSamplingConfig(radius=0.1, table_height=-math.inf).table_height == -math.inf
+
+    def test_nan_table_cannot_pass_candidates_below_table(self):
+        # Every candidate of an object 1 m under the table is below it, so
+        # no value of table_height may yield candidates here.
+        below = np.array([0.0, 0.0, -1.0])
+        with pytest.raises(NoFeasibleCandidateError):
+            sample_candidates(below, GraspSamplingConfig(radius=0.15, table_height=0.0))
+        with pytest.raises(ValueError):
+            sample_candidates(below, GraspSamplingConfig(radius=0.15, table_height=math.nan))
+
 
 class TestClosedFormCases:
     def test_polar_candidate_directly_above(self):

@@ -154,8 +154,20 @@ class TestGenerateScene:
             SceneSpec("t", -1.0, base.true_pose, base.camera_pose)
         with pytest.raises(ValueError):
             SceneSpec("t", 0.8, base.true_pose, base.camera_pose, depth_noise=-0.1)
+        for field in ("depth_noise", "shape_noise"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=field):
+                    SceneSpec("t", 0.8, base.true_pose, base.camera_pose, **{field: bad})
         with pytest.raises(ValueError):
             OccluderSpec(depth=0.4, fraction=1.5)
+
+    def test_occluder_fraction_validation(self):
+        assert tabletop_scene("t", 0.8, occluder_fraction=0.0).occluder is None
+        assert tabletop_scene("t", 0.8, occluder_fraction=0.2).occluder.fraction == 0.2
+        # NaN used to pass as "no occluder" and render an unoccluded scene.
+        for bad in (math.nan, -0.1, 1.0, math.inf):
+            with pytest.raises(ValueError, match="occluder_fraction"):
+                tabletop_scene("t", 0.8, occluder_fraction=bad)
 
 
 class TestTabletopGeometry:

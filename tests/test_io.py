@@ -1,6 +1,7 @@
 """OBJ meshes, PFM depth maps, and the JSON scene document."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from depthrefine import (
     load_scene_config,
     store_depth,
 )
+from depthrefine.fileio import MAX_PFM_PIXELS
 from helpers import square_mesh, write_obj
 
 CUBE_OBJ = """\
@@ -260,6 +262,16 @@ class TestSceneConfig:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError, match="object"):
             load_scene_config(str(path))
+
+    def test_image_size_bounded_like_pfm(self, tmp_path):
+        # Checked while parsing; nothing of the image size is allocated.
+        doc = scene_doc(width=100_000, height=100_000, cx=50_000.0, cy=50_000.0)
+        with pytest.raises(ConfigError, match="exceeds"):
+            load_scene_config(self.write(tmp_path, doc))
+        side = math.isqrt(MAX_PFM_PIXELS)
+        doc = scene_doc(width=side, height=side, cx=side / 2, cy=side / 2)
+        _, intr, _, _ = load_scene_config(self.write(tmp_path, doc))
+        assert intr.width * intr.height <= MAX_PFM_PIXELS
 
     def test_bad_intrinsics_rejected(self, tmp_path):
         doc = scene_doc(cx=900.0)

@@ -389,6 +389,16 @@ class TestRefine:
         refine(coarse, mesh, CAD_CUBOID, INTR, real)
         assert len(calls) == 1
 
+    def test_size_mismatch_rejected_before_render(self, monkeypatch):
+        def failing_render(*args, **kwargs):
+            raise AssertionError("rendered before the size check")
+
+        monkeypatch.setattr(refiner_module, "render_depth", failing_render)
+        mesh, _ = builtin_model("apple")
+        real = DepthMap(INTR.width, INTR.height - 1, np.ones((INTR.height - 1, INTR.width)))
+        with pytest.raises(ValueError, match="dimensions"):
+            refine(apple_pose(), mesh, CAD_CUBOID, INTR, real)
+
 
 # A float32 depth carries a relative rounding error up to 2**-24, about
 # 3e-8 m at 0.5 m, so an exact-fit residual may read as a squared error
