@@ -11,6 +11,7 @@ scene (robust fit found no consensus), 5 no feasible grasp candidate,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,13 +19,14 @@ import sys
 import numpy as np
 
 from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError, exit_code_for
-from .fileio import load_depth, load_mesh, load_scene_config, store_depth
+from .fileio import load_depth, load_mesh, load_scene_config, store_depth, store_scene_config
 from .geometry import UnitQuaternion, transform_point
 from .grasp import GraspSamplingConfig, sample_candidates
 from .harness import (
     DEFAULT_INTRINSICS,
     DEFAULT_SCALE_LEVELS,
     builtin_model,
+    default_sweep,
     generate_scene,
     run_sweep,
     tabletop_scene,
@@ -123,37 +125,25 @@ def cmd_sample_grasps(args) -> int:
     return EXIT_OK
 
 
+def _scene_kwargs(args) -> dict:
+    """The shared scene flags as `tabletop_scene` keywords."""
+    return {
+        "object_depth": args.object_depth,
+        "mesh_id": args.mesh_id,
+        "occluder_fraction": args.occluder_fraction,
+        "occluder_offset": args.occluder_offset,
+        "depth_noise": args.depth_noise,
+        "shape_noise": args.shape_noise,
+        "seed": args.seed,
+    }
+
+
 def cmd_simulate(args) -> int:
-    spec = tabletop_scene(
-        scene_id="simulated",
-        true_scale=args.scale,
-        object_depth=args.object_depth,
-        mesh_id=args.mesh_id,
-        occluder_fraction=args.occluder_fraction,
-        occluder_offset=args.occluder_offset,
-        depth_noise=args.depth_noise,
-        shape_noise=args.shape_noise,
-        seed=args.seed,
-    )
+    spec = tabletop_scene("simulated", args.scale, **_scene_kwargs(args))
     real, coarse = generate_scene(spec, DEFAULT_INTRINSICS)
     store_depth(args.out_depth, real)
     _, cad_dims = builtin_model(args.mesh_id)
-    doc = {
-        "position": _vec(coarse.position),
-        "orientation": _quat(coarse.orientation),
-        "fx": DEFAULT_INTRINSICS.fx,
-        "fy": DEFAULT_INTRINSICS.fy,
-        "cx": DEFAULT_INTRINSICS.cx,
-        "cy": DEFAULT_INTRINSICS.cy,
-        "width": DEFAULT_INTRINSICS.width,
-        "height": DEFAULT_INTRINSICS.height,
-        "cad_dims": _vec(cad_dims.as_array()),
-        "world_T_camera": {
-            "position": _vec(spec.camera_pose.position),
-            "orientation": _quat(spec.camera_pose.orientation),
-        },
-    }
-    _write_json(args.out_scene, doc)
+    store_scene_config(args.out_scene, coarse, DEFAULT_INTRINSICS, cad_dims, spec.camera_pose)
     valid = int(np.count_nonzero(real.valid_mask))
     print(
         f"simulated scale={args.scale} scene: {valid} valid pixels -> "
@@ -163,31 +153,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    specs = [
-        tabletop_scene(
-            scene_id=f"scale-{level:.3f}",
-            true_scale=level,
-            object_depth=args.object_depth,
-            mesh_id=args.mesh_id,
-            occluder_fraction=args.occluder_fraction,
-            occluder_offset=args.occluder_offset,
-            depth_noise=args.depth_noise,
-            shape_noise=args.shape_noise,
-            seed=args.seed + k,
-        )
-        for k, level in enumerate(args.scales)
-    ]
-    records, table = run_sweep(specs)
+    records, table = run_sweep(default_sweep(args.scales, **_scene_kwargs(args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for r in records:
-                fh.write(json.dumps({
-                    "scene_id": r.scene_id,
-                    "centroid_error": r.centroid_error,
-                    "dimensional_error": r.dimensional_error,
-                    "mu_error": r.mu_error,
-                    "success": r.success,
-                }))
+                fh.write(json.dumps(dataclasses.asdict(r)))
                 fh.write("\n")
     print(table)
     return EXIT_OK
@@ -236,28 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output candidates JSON path")
     p.set_defaults(func=cmd_sample_grasps)
 
-    p = sub.add_parser("simulate", help="generate a synthetic scene + coarse estimate")
+    # The scene flags shared by simulate and eval; _scene_kwargs reads them.
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--mesh-id", default="apple", choices=("apple", "sphere", "cube"))
+    scene.add_argument("--object-depth", type=float, default=0.5)
+    scene.add_argument("--occluder-fraction", type=float, default=0.0)
+    scene.add_argument("--occluder-offset", type=float, default=0.1)
+    scene.add_argument("--depth-noise", type=float, default=0.0)
+    scene.add_argument("--shape-noise", type=float, default=0.0)
+    scene.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("simulate", parents=[scene],
+                       help="generate a synthetic scene + coarse estimate")
     p.add_argument("--scale", type=float, required=True, help="true object scale")
-    p.add_argument("--mesh-id", default="apple", choices=("apple", "sphere", "cube"))
-    p.add_argument("--object-depth", type=float, default=0.5)
-    p.add_argument("--occluder-fraction", type=float, default=0.0)
-    p.add_argument("--occluder-offset", type=float, default=0.1)
-    p.add_argument("--depth-noise", type=float, default=0.0)
-    p.add_argument("--shape-noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-depth", required=True, help="output PFM path")
     p.add_argument("--out-scene", required=True, help="output scene JSON path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="run the synthetic evaluation sweep")
+    p = sub.add_parser("eval", parents=[scene], help="run the synthetic evaluation sweep")
     p.add_argument("--scales", type=float, nargs="+", default=list(DEFAULT_SCALE_LEVELS))
-    p.add_argument("--mesh-id", default="apple", choices=("apple", "sphere", "cube"))
-    p.add_argument("--object-depth", type=float, default=0.5)
-    p.add_argument("--occluder-fraction", type=float, default=0.0)
-    p.add_argument("--occluder-offset", type=float, default=0.1)
-    p.add_argument("--depth-noise", type=float, default=0.0)
-    p.add_argument("--shape-noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="optional line-delimited JSON records path")
     p.set_defaults(func=cmd_eval)
 

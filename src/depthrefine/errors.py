@@ -45,7 +45,7 @@ class EmptyGeometryError(InvalidInputError):
 
 
 class DegenerateRayError(InvalidInputError):
-    """Camera-to-object ray undefined (anchor at the camera origin)."""
+    """Camera-to-object ray undefined (position at the camera origin)."""
 
 
 class BehindCameraError(InvalidInputError):

@@ -194,6 +194,32 @@ def _pose_from(doc: dict) -> Pose:
     return Pose(_vec3_field(doc, "position"), _quat_field(doc, "orientation"))
 
 
+def _pose_doc(pose: Pose) -> dict:
+    q = pose.orientation
+    return {"position": [float(x) for x in pose.position], "orientation": [q.w, q.x, q.y, q.z]}
+
+
+def store_scene_config(
+    path, pose: Pose, intr: CameraIntrinsics, dims: CuboidDims, extrinsics: Pose | None = None
+) -> None:
+    """Write the JSON scene document that load_scene_config reads back."""
+    doc = {
+        **_pose_doc(pose),
+        "fx": intr.fx,
+        "fy": intr.fy,
+        "cx": intr.cx,
+        "cy": intr.cy,
+        "width": intr.width,
+        "height": intr.height,
+        "cad_dims": [float(x) for x in dims.as_array()],
+    }
+    if extrinsics is not None:
+        doc["world_T_camera"] = _pose_doc(extrinsics)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, CuboidDims]:
     """Parse the JSON scene document: pose, intrinsics, optional camera
     extrinsics (camera pose in the world frame), and model cuboid dims.

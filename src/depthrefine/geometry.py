@@ -139,11 +139,6 @@ def transform_point(pose: Pose, point) -> np.ndarray:
     return rotate(pose.orientation, point) + pose.position
 
 
-def inverse_transform_point(pose: Pose, point) -> np.ndarray:
-    """Map a point from the pose's parent frame into its local frame."""
-    return rotate(pose.orientation.conjugate(), as_vec3(point) - pose.position)
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: focal lengths and principal point in pixels."""
@@ -197,50 +192,25 @@ class CuboidDims:
         return CuboidDims(factor * self.dx, factor * self.dy, factor * self.dz)
 
 
-@dataclass(frozen=True)
-class SigmaTransform:
-    """Signed displacement sigma (meters) along the camera-to-anchor ray.
-
-    The anchor is the point kept fixed in the image plane; moving it by
-    sigma toward the camera and shrinking the object by the induced factor
-    mu leaves the projected silhouette unchanged.
-    """
-
-    sigma: float
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", as_vec3(self.anchor))
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        norm = float(np.linalg.norm(self.anchor))
-        if norm == 0.0:
-            raise DegenerateRayError("anchor at the camera origin defines no ray")
-        if abs(self.sigma) >= norm:
-            raise ValueError(
-                f"|sigma|={abs(self.sigma):.6g} must stay below the anchor distance {norm:.6g}"
-            )
-
-
-def sigma_translate(t: SigmaTransform) -> np.ndarray:
-    """Displace the anchor by sigma along its ray toward the camera."""
-    norm = float(np.linalg.norm(t.anchor))
-    return t.anchor - t.sigma * (t.anchor / norm)
-
-
-def scale_factor(t: SigmaTransform) -> float:
-    """Scale factor mu = 1 - sigma/|anchor| induced by the displacement."""
-    return 1.0 - t.sigma / float(np.linalg.norm(t.anchor))
-
-
 def apply_sigma_to_pose(pose: Pose, sigma: float) -> tuple[Pose, float]:
-    """Displace a pose along its camera ray; returns (moved pose, mu).
+    """Displace a pose by sigma (meters) along its camera ray toward the
+    camera; returns (moved pose, mu) with mu = 1 - sigma/||p||.
 
-    Orientation is untouched; only the position slides along the ray. The
-    returned mu is the uniform scale that keeps the silhouette fixed.
+    The position p is the point kept fixed in the image plane: moving it
+    by sigma and shrinking the object by mu leaves the projected
+    silhouette unchanged. Orientation is untouched.
     """
-    t = SigmaTransform(sigma, pose.position)
-    return Pose(sigma_translate(t), pose.orientation), scale_factor(t)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    p = pose.position
+    norm = float(np.linalg.norm(p))
+    if norm == 0.0:
+        raise DegenerateRayError("position at the camera origin defines no ray")
+    if abs(sigma) >= norm:
+        raise ValueError(
+            f"|sigma|={abs(sigma):.6g} must stay below the position distance {norm:.6g}"
+        )
+    return Pose(p - sigma * (p / norm), pose.orientation), 1.0 - sigma / norm
 
 
 def project(intr: CameraIntrinsics, point) -> tuple[float, float, float]:

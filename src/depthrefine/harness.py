@@ -123,8 +123,10 @@ class OccluderSpec:
     fraction: float
 
     def __post_init__(self):
-        if not self.depth > 0.0:
-            raise ValueError("occluder depth must be positive")
+        # An infinite depth never wins the nearer-of test, so the scene
+        # would come out unoccluded.
+        if not (math.isfinite(self.depth) and self.depth > 0.0):
+            raise ValueError(f"occluder depth must be finite and positive, got {self.depth}")
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("occluder fraction must be in (0, 1)")
 
@@ -283,23 +285,16 @@ def dimensional_error(d_est: CuboidDims, d_true: CuboidDims) -> float:
     return float(np.linalg.norm(d_est.as_array() - d_true.as_array()))
 
 
-def default_sweep(
-    depth_noise: float = 0.0,
-    shape_noise: float = 0.0,
-    occluder_fraction: float = 0.0,
-    seed: int = 0,
-) -> list[SceneSpec]:
-    """One tabletop scene per default scale level."""
+def default_sweep(scales=DEFAULT_SCALE_LEVELS, seed: int = 0, **scene) -> list[SceneSpec]:
+    """One tabletop scene per scale level, seeded seed, seed + 1, ...
+
+    `scene` holds further `tabletop_scene` keywords (object_depth,
+    mesh_id, occluder_fraction, occluder_offset, depth_noise,
+    shape_noise), shared by every scene of the sweep.
+    """
     return [
-        tabletop_scene(
-            scene_id=f"scale-{level:.3f}",
-            true_scale=level,
-            occluder_fraction=occluder_fraction,
-            depth_noise=depth_noise,
-            shape_noise=shape_noise,
-            seed=seed + k,
-        )
-        for k, level in enumerate(DEFAULT_SCALE_LEVELS)
+        tabletop_scene(f"scale-{level:.3f}", level, seed=seed + k, **scene)
+        for k, level in enumerate(scales)
     ]
 
 

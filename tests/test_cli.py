@@ -6,6 +6,7 @@ code partition: 2 invalid input, 3 no overlap, 4 degenerate scene,
 5 no feasible candidate.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from depthrefine import (
     DegenerateSceneError,
     DepthMap,
     DepthRefineError,
+    EvalRecord,
     GraspSamplingConfig,
     MeshParseError,
     NoFeasibleCandidateError,
@@ -350,6 +352,16 @@ class TestSampleGrasps:
         assert "error:" in capsys.readouterr().err
 
 
+def scene_command(command: str, tmp_path):
+    """argv of a one-scene `simulate` or `eval` run, and the files it writes."""
+    if command == "simulate":
+        outputs = [tmp_path / "scene.pfm", tmp_path / "scene.json"]
+        return ["simulate", "--scale", "0.8", "--out-depth", str(outputs[0]),
+                "--out-scene", str(outputs[1])], outputs
+    outputs = [tmp_path / "records.jsonl"]
+    return ["eval", "--scales", "0.8", "--out", str(outputs[0])], outputs
+
+
 class TestSimulateAndEval:
     def test_simulate_then_refine_recovers_scale(self, tmp_path, capsys):
         depth_path = tmp_path / "scene.pfm"
@@ -391,6 +403,11 @@ class TestSimulateAndEval:
         assert "success: 2/2" in table
         assert "scale-1.000" in table
 
+    def test_eval_records_carry_every_eval_record_field(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        assert main(["eval", "--scales", "0.9", "--out", str(out)]) == EXIT_OK
+        record = json.loads(out.read_text())
+        assert list(record) == [f.name for f in dataclasses.fields(EvalRecord)]
 
     @pytest.mark.parametrize("command", ["simulate", "eval"])
     @pytest.mark.parametrize("flag, value", [
@@ -402,15 +419,19 @@ class TestSimulateAndEval:
     def test_non_finite_scene_parameter_exits_2(self, tmp_path, capsys, command, flag, value):
         # NaN used to skip the noise or occluder step (exit 0 with a clean
         # scene); an infinite shape noise ended in an OverflowError (exit 1).
-        if command == "simulate":
-            outputs = [tmp_path / "scene.pfm", tmp_path / "scene.json"]
-            argv = ["simulate", "--scale", "0.8", "--out-depth", str(outputs[0]),
-                    "--out-scene", str(outputs[1])]
-        else:
-            outputs = [tmp_path / "records.jsonl"]
-            argv = ["eval", "--scales", "0.8", "--out", str(outputs[0])]
+        argv, outputs = scene_command(command, tmp_path)
         assert main(argv + [flag, value]) == EXIT_INVALID_INPUT
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_infinite_occluder_depth_exits_2(self, tmp_path, capsys, command):
+        # offset -inf puts the occluder at depth +inf, which used to leave the
+        # scene unoccluded with exit 0.
+        argv, outputs = scene_command(command, tmp_path)
+        argv += ["--occluder-fraction", "0.2", "--occluder-offset=-inf"]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "occluder depth" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
 

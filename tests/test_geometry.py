@@ -11,10 +11,8 @@ from depthrefine import (
     CuboidDims,
     DegenerateRayError,
     Pose,
-    SigmaTransform,
     UnitQuaternion,
     apply_sigma_to_pose,
-    inverse_transform_point,
     project,
     quat_mul,
     quat_to_matrix,
@@ -22,8 +20,6 @@ from depthrefine import (
     quat_y,
     quat_z,
     rotate,
-    scale_factor,
-    sigma_translate,
     transform_point,
 )
 from helpers import random_quaternion
@@ -114,7 +110,8 @@ class TestPose:
         for _ in range(20):
             pose = Pose(rng.normal(size=3), random_quaternion(rng))
             p = rng.normal(size=3)
-            assert np.allclose(inverse_transform_point(pose, transform_point(pose, p)), p, atol=1e-12)
+            back = rotate(pose.orientation.conjugate(), transform_point(pose, p) - pose.position)
+            assert np.allclose(back, p, atol=1e-12)
 
     def test_rejects_non_finite_position(self):
         with pytest.raises(ValueError):
@@ -157,40 +154,46 @@ class TestCuboidDims:
 
 
 class TestSigmaTransform:
+    """The slide along the camera ray, through `apply_sigma_to_pose`."""
+
+    @staticmethod
+    def slide(sigma, position):
+        return apply_sigma_to_pose(Pose(position, UnitQuaternion.identity()), sigma)
+
     def test_translate_along_axis(self):
-        t = SigmaTransform(0.2, np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(sigma_translate(t), [0.0, 0.0, 0.8], atol=1e-15)
+        moved, _ = self.slide(0.2, np.array([0.0, 0.0, 1.0]))
+        assert np.allclose(moved.position, [0.0, 0.0, 0.8], atol=1e-15)
 
     def test_zero_sigma_is_identity(self):
-        t = SigmaTransform(0.0, np.array([0.3, 0.0, 0.4]))
-        assert np.allclose(sigma_translate(t), [0.3, 0.0, 0.4], atol=1e-15)
+        moved, _ = self.slide(0.0, np.array([0.3, 0.0, 0.4]))
+        assert np.allclose(moved.position, [0.3, 0.0, 0.4], atol=1e-15)
 
     def test_off_axis_scaling(self):
-        t = SigmaTransform(0.1, np.array([0.3, 0.0, 0.4]))
-        assert np.allclose(sigma_translate(t), [0.24, 0.0, 0.32], atol=1e-12)
+        moved, _ = self.slide(0.1, np.array([0.3, 0.0, 0.4]))
+        assert np.allclose(moved.position, [0.24, 0.0, 0.32], atol=1e-12)
 
     def test_scale_factor_values(self):
-        assert scale_factor(SigmaTransform(0.0, np.array([0.0, 0.0, 1.0]))) == 1.0
-        assert math.isclose(scale_factor(SigmaTransform(0.2, np.array([0.0, 0.0, 1.0]))), 0.8)
-        assert math.isclose(scale_factor(SigmaTransform(-0.1, np.array([0.0, 0.0, 0.5]))), 1.2)
+        assert self.slide(0.0, np.array([0.0, 0.0, 1.0]))[1] == 1.0
+        assert math.isclose(self.slide(0.2, np.array([0.0, 0.0, 1.0]))[1], 0.8)
+        assert math.isclose(self.slide(-0.1, np.array([0.0, 0.0, 0.5]))[1], 1.2)
 
     def test_result_collinear_with_norm_contract(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            anchor = rng.uniform(-1.0, 1.0, 3)
-            anchor[2] = rng.uniform(0.3, 1.5)
-            norm = np.linalg.norm(anchor)
+            position = rng.uniform(-1.0, 1.0, 3)
+            position[2] = rng.uniform(0.3, 1.5)
+            norm = np.linalg.norm(position)
             sigma = rng.uniform(-0.8, 0.8) * norm
-            moved = sigma_translate(SigmaTransform(sigma, anchor))
-            cross = np.cross(moved, anchor)
+            moved = self.slide(sigma, position)[0].position
+            cross = np.cross(moved, position)
             assert np.abs(cross).max() < 1e-12
             assert math.isclose(np.linalg.norm(moved), norm - sigma, rel_tol=1e-12)
 
     def test_mu_affine_strictly_decreasing(self):
-        anchor = np.array([0.1, -0.2, 0.7])
-        norm = np.linalg.norm(anchor)
+        position = np.array([0.1, -0.2, 0.7])
+        norm = np.linalg.norm(position)
         sigmas = np.linspace(-0.5, 0.5, 11) * norm
-        mus = [scale_factor(SigmaTransform(s, anchor)) for s in sigmas]
+        mus = [self.slide(s, position)[1] for s in sigmas]
         assert all(a > b for a, b in zip(mus, mus[1:]))
         # affine: second differences vanish
         second = np.diff(mus, n=2)
@@ -198,24 +201,29 @@ class TestSigmaTransform:
 
     def test_round_trip_inverse_is_negated_sigma(self):
         # Sigma is an absolute displacement along the ray, so the exact
-        # inverse is -sigma applied to the moved anchor. Sampling within
-        # half the anchor distance keeps both legs inside the
-        # |sigma| < ||anchor|| validity region.
+        # inverse is -sigma applied to the moved position. Sampling within
+        # half the position distance keeps both legs inside the
+        # |sigma| < ||p|| validity region.
         rng = np.random.default_rng(7)
         for _ in range(50):
-            anchor = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2)])
-            sigma = rng.uniform(-0.45, 0.45) * np.linalg.norm(anchor)
-            moved = sigma_translate(SigmaTransform(sigma, anchor))
-            back = sigma_translate(SigmaTransform(-sigma, moved))
-            assert np.abs(back - anchor).max() < 1e-12
+            position = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2)])
+            sigma = rng.uniform(-0.45, 0.45) * np.linalg.norm(position)
+            moved = self.slide(sigma, position)[0].position
+            back = self.slide(-sigma, moved)[0].position
+            assert np.abs(back - position).max() < 1e-12
+
+    def test_non_finite_sigma_rejected(self):
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                self.slide(sigma, np.array([0.0, 0.0, 1.0]))
 
     def test_zero_anchor_rejected(self):
         with pytest.raises(DegenerateRayError):
-            SigmaTransform(0.1, np.zeros(3))
+            self.slide(0.1, np.zeros(3))
 
     def test_sigma_at_anchor_distance_rejected(self):
         with pytest.raises(ValueError):
-            SigmaTransform(1.0, np.array([0.0, 0.0, 1.0]))
+            self.slide(1.0, np.array([0.0, 0.0, 1.0]))
 
 
 class TestApplySigmaToPose:

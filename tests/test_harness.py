@@ -160,6 +160,13 @@ class TestGenerateScene:
                     SceneSpec("t", 0.8, base.true_pose, base.camera_pose, **{field: bad})
         with pytest.raises(ValueError):
             OccluderSpec(depth=0.4, fraction=1.5)
+        # An infinite depth never wins the nearer-of test; it used to pass
+        # and render the scene unoccluded.
+        for bad in (math.inf, math.nan, 0.0, -0.1):
+            with pytest.raises(ValueError, match="occluder depth"):
+                OccluderSpec(bad, 0.2)
+        with pytest.raises(ValueError, match="occluder depth"):
+            tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=-math.inf)
 
     def test_occluder_fraction_validation(self):
         assert tabletop_scene("t", 0.8, occluder_fraction=0.0).occluder is None
@@ -211,6 +218,29 @@ class TestMetrics:
         a = CuboidDims(0.10, 0.08, 0.09)
         b = CuboidDims(0.10, 0.08, 0.04)
         assert dimensional_error(a, b) == pytest.approx(0.05, rel=1e-12)
+
+
+class TestDefaultSweep:
+    def test_default_levels_and_seeds(self):
+        specs = default_sweep()
+        assert [s.true_scale for s in specs] == list(DEFAULT_SCALE_LEVELS)
+        assert [s.seed for s in specs] == list(range(len(DEFAULT_SCALE_LEVELS)))
+        assert all(s.occluder is None and s.mesh_id == "apple" for s in specs)
+
+    def test_scales_seed_and_scene_fields_pass_through(self):
+        specs = default_sweep(
+            (0.7, 0.9), seed=3, mesh_id="cube", object_depth=0.6, occluder_fraction=0.2
+        )
+        assert [s.scene_id for s in specs] == ["scale-0.700", "scale-0.900"]
+        assert [s.true_scale for s in specs] == [0.7, 0.9]
+        assert [s.seed for s in specs] == [3, 4]
+        _, cube = builtin_model("cube")
+        for spec in specs:
+            assert spec.mesh_id == "cube"
+            assert spec.true_pose.position[2] == 0.6
+            assert spec.camera_pose.position[2] == 0.6 + 0.5 * spec.true_scale * cube.dy
+            assert spec.occluder == OccluderSpec(0.6 - 0.1, 0.2)
+            assert (spec.depth_noise, spec.shape_noise) == (0.0, 0.0)
 
 
 class TestRunSweep:

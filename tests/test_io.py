@@ -8,15 +8,21 @@ import numpy as np
 import pytest
 
 from depthrefine import (
+    CameraIntrinsics,
     ConfigError,
+    CuboidDims,
     DepthMap,
     DepthMapFormatError,
     EmptyGeometryError,
     MeshParseError,
+    Pose,
+    UnitQuaternion,
     load_depth,
     load_mesh,
     load_scene_config,
+    quat_x,
     store_depth,
+    store_scene_config,
 )
 from depthrefine.fileio import MAX_PFM_PIXELS
 from helpers import square_mesh, write_obj
@@ -277,3 +283,29 @@ class TestSceneConfig:
         doc = scene_doc(cx=900.0)
         with pytest.raises(ConfigError):
             load_scene_config(self.write(tmp_path, doc))
+
+
+class TestStoreSceneConfig:
+    POSE = Pose(np.array([0.01, -0.02, 0.61]), quat_x(-0.4))
+    INTR = CameraIntrinsics(fx=610.5, fy=605.25, cx=321.5, cy=239.75, width=640, height=480)
+    DIMS = CuboidDims(0.092, 0.080, 0.092)
+
+    def check_round_trip(self, path, extrinsics):
+        store_scene_config(path, self.POSE, self.INTR, self.DIMS, extrinsics)
+        pose, intr, extr, dims = load_scene_config(path)
+        assert np.array_equal(pose.position, self.POSE.position)
+        assert pose.orientation == self.POSE.orientation
+        assert intr == self.INTR
+        assert dims.as_array().tolist() == self.DIMS.as_array().tolist()
+        return extr
+
+    def test_round_trip_with_extrinsics(self, tmp_path):
+        camera = Pose(np.array([0.0, 0.0, 0.54]), UnitQuaternion(0.0, 1.0, 0.0, 0.0))
+        extr = self.check_round_trip(tmp_path / "scene.json", camera)
+        assert np.array_equal(extr.position, camera.position)
+        assert extr.orientation == camera.orientation
+
+    def test_round_trip_without_extrinsics(self, tmp_path):
+        path = tmp_path / "scene.json"
+        assert self.check_round_trip(path, None) is None
+        assert "world_T_camera" not in json.loads(path.read_text())
