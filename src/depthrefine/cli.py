@@ -88,6 +88,7 @@ def cmd_refine(args) -> int:
         "rms_residual": result.rms_residual,
         "objective_value": result.objective_value,
         "mu_at_bound": result.at_bound,
+        "free_space_fraction": result.free_space_fraction,
     }
     if extrinsics is not None:
         doc["refined_position_world"] = _vec(

@@ -41,7 +41,7 @@ class ConfigError(InvalidInputError):
 
 
 class EmptyGeometryError(InvalidInputError):
-    """Mesh with no triangles."""
+    """Mesh with no triangles, or a scene whose object covers no pixel."""
 
 
 class DegenerateRayError(InvalidInputError):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DepthRefineError
+from .errors import DepthRefineError, EmptyGeometryError
 from .geometry import (
     CameraIntrinsics,
     CuboidDims,
@@ -202,7 +202,8 @@ def generate_scene(
     optional per-vertex shape noise (uniform, applied only to the
     ground-truth render, never to the model the refiner sees). The
     occluder overwrites its region where it is nearer; Gaussian depth
-    noise lands on every valid pixel. Deterministic per seed.
+    noise lands on every valid pixel. Deterministic per seed. Raises
+    EmptyGeometryError when the camera sees no pixel of the object.
     """
     mesh, _ = builtin_model(spec.mesh_id)
     rng = np.random.default_rng(spec.seed)
@@ -213,6 +214,8 @@ def generate_scene(
         gt_mesh = TriangleMesh(mesh.vertices + jitter, mesh.triangles)
 
     rendered = render_depth(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
+    if not rendered.valid_mask.any():
+        raise EmptyGeometryError(f"scene {spec.scene_id!r}: the object covers no pixel")
     data = rendered.data.astype(np.float64)
 
     if spec.occluder is not None:
@@ -249,6 +252,8 @@ def tabletop_scene(
     up; the model's height axis (y) is posed to point up, so the true
     centroid height is true_scale * dy / 2.
     """
+    if not (math.isfinite(object_depth) and object_depth > 0.0):
+        raise ValueError(f"object_depth must be finite and positive, got {object_depth}")
     if not 0.0 <= occluder_fraction < 1.0:
         raise ValueError(f"occluder_fraction must be in [0, 1), got {occluder_fraction}")
     _, dims = builtin_model(mesh_id)

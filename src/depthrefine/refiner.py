@@ -35,9 +35,13 @@ from .geometry import (
 )
 from .renderer import DepthMap, TriangleMesh, render_depth
 
+# RANSAC stops once some draw was all inliers with this probability.
+CONFIDENCE = 0.999
+
+
 @dataclass(frozen=True)
 class RansacConfig:
-    """Robust line fit d = a*d_hat + b separating object pixels from occluders."""
+    """Robust scale-only fit d = mu*d_hat; `iterations` caps its adaptive loop."""
 
     iterations: int = 256
     inlier_threshold: float = 0.007
@@ -73,6 +77,9 @@ class RefinementResult:
     rms_residual: float
     objective_value: float
     at_bound: bool
+    # Share of all pairs measured beyond mu_opt*v0 + inlier_threshold; an
+    # occluder only brings depths nearer, so a high share flags a wrong fit.
+    free_space_fraction: float
 
 
 def residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
@@ -125,43 +132,41 @@ def objective(
 
 
 def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarray:
-    """Robustly fit d = a*d_hat + b and return the positions of the consenting pairs.
+    """Fit the scale-only model d = mu*v robustly; return the consenting pairs.
 
-    `d` and `v` are the paired measured and rendered depths, float64.
-    Two-point hypotheses are scored by |residual| <= inlier_threshold; the
-    best consensus set is refit by least squares and the final inliers are
-    recomputed against the refit line. Returns the ascending int64
-    positions into `d` of the final inliers. Deterministic for a fixed seed.
+    `d` and `v` are paired measured and rendered depths, float64, every
+    `v` positive. One-pair hypotheses mu = d[i]/v[i] are scored by the
+    count of |d - mu*v| <= inlier_threshold until k draws reach
+    ceil(log(1 - CONFIDENCE)/log(1 - w)), w the best inlier fraction so
+    far, or cfg.iterations. The best consensus is refit with
+    mu = <d,v>/<v,v>; returns the ascending int64 positions of the pairs
+    within the threshold of that mu. Deterministic for a fixed seed.
     """
     n = len(d)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    rng = np.random.default_rng(cfg.seed)
+    draws = np.random.default_rng(cfg.seed).integers(n, size=cfg.iterations)
 
-    # Each hypothesis is scored in one reused buffer, in the operation
-    # order of abs(d - (a*v + b)). Scoring all hypotheses in one
-    # (iterations, n) broadcast was slower: its temporaries leave the cache.
+    # Each hypothesis is scored in one reused buffer: an (iterations, n)
+    # broadcast was slower, as its temporaries leave the cache.
     resid = np.empty(n)
     hit = np.empty(n, dtype=bool)
-    best_count = -1
-    best_ab = (0.0, 0.0)
-    for _ in range(cfg.iterations):
-        i, j = rng.choice(n, size=2, replace=False)
-        if v[i] == v[j]:
-            # No slope from a vertical pair; a flat line through the mean
-            # still covers constant-depth scenes.
-            a, b = 0.0, 0.5 * (d[i] + d[j])
-        else:
-            a = (d[j] - d[i]) / (v[j] - v[i])
-            b = d[i] - a * v[i]
-        np.multiply(v, a, out=resid)
-        resid += b
+    best_count = 0
+    best_mu = 0.0
+    needed = cfg.iterations
+    for k, i in enumerate(draws, start=1):
+        mu = d[i] / v[i]
+        np.multiply(v, mu, out=resid)
         np.subtract(d, resid, out=resid)
         np.abs(resid, out=resid)
         count = int(np.count_nonzero(np.less_equal(resid, cfg.inlier_threshold, out=hit)))
         if count > best_count:
-            best_count = count
-            best_ab = (a, b)
+            best_count, best_mu = count, mu
+            # Once every pair agrees, log(1 - w) is -inf: stop at once.
+            w = count / n
+            needed = 0 if w == 1.0 else math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-w))
+        if k >= needed:
+            break
 
     if best_count < math.ceil(cfg.min_inlier_fraction * n):
         raise DegenerateSceneError(
@@ -169,16 +174,9 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarra
             f"{cfg.min_inlier_fraction}"
         )
 
-    a, b = best_ab
-    consensus = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
-    vv, dd = v[consensus], d[consensus]
-    var = float(np.var(vv))
-    if var > 0.0:
-        a = float(np.cov(vv, dd, bias=True)[0, 1] / var)
-        b = float(dd.mean() - a * vv.mean())
-    else:
-        a, b = 0.0, float(dd.mean())
-    return np.flatnonzero(np.abs(d - (a * v + b)) <= cfg.inlier_threshold)
+    agree = np.abs(d - best_mu * v) <= cfg.inlier_threshold
+    mu = float(d[agree] @ v[agree]) / float(v[agree] @ v[agree])
+    return np.flatnonzero(np.abs(d - mu * v) <= cfg.inlier_threshold)
 
 
 def refine(
@@ -244,4 +242,5 @@ def refine(
         rms_residual=math.sqrt(f_opt),
         objective_value=f_opt,
         at_bound=sigma_opt != sigma_star,
+        free_space_fraction=float(np.mean(d_all > mu_opt * v_all + cfg.ransac.inlier_threshold)),
     )

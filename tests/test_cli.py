@@ -147,6 +147,21 @@ class TestRefine:
         assert doc["refined_position"][2] == pytest.approx(0.375, abs=5e-4)
         assert doc["estimated_dims"][0] == pytest.approx(0.2 * doc["mu_opt"], rel=1e-12)
 
+    def test_reports_free_space_fraction(self, workspace):
+        tmp_path, _, _ = workspace
+        measured = render_fixture_depth()
+        data = measured.data.copy()
+        # One pixel measured 5 cm beyond the model: the only free-space pair.
+        row, col = np.argwhere(measured.valid_mask)[0]
+        data[row, col] += np.float32(0.05)
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, DepthMap(measured.width, measured.height, data))
+        argv, out = self.refine_args(workspace, depth_path)
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        pairs = int(np.count_nonzero(measured.valid_mask))
+        assert doc["free_space_fraction"] == pytest.approx(1.0 / pairs, rel=1e-12)
+
     def test_mu_at_bound_flag(self, workspace):
         tmp_path, _, _ = workspace
         depth_path = tmp_path / "measured.pfm"
@@ -432,6 +447,21 @@ class TestSimulateAndEval:
         argv += ["--occluder-fraction", "0.2", "--occluder-offset=-inf"]
         assert main(argv) == EXIT_INVALID_INPUT
         assert "occluder depth" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("simulate", ["--object-depth=-0.5"], "object_depth"),
+        ("simulate", ["--object-depth=0"], "object_depth"),
+        ("simulate", ["--scale", "1e-9"], "covers no pixel"),
+        ("simulate", ["--object-depth", "1e6"], "covers no pixel"),
+        ("eval", ["--object-depth=-0.5"], "object_depth"),
+    ], ids=["behind", "at-camera", "tiny", "far", "eval-behind"])
+    def test_unseen_object_exits_2(self, tmp_path, capsys, command, flags, message):
+        # Each of these used to exit 0: simulate wrote a map the camera
+        # never saw, and eval recorded a failed scene.
+        argv, outputs = scene_command(command, tmp_path)
+        assert main(argv + flags) == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
 

@@ -9,6 +9,7 @@ from depthrefine import (
     CAD_CUBOID,
     DEFAULT_INTRINSICS,
     DEFAULT_SCALE_LEVELS,
+    EmptyGeometryError,
     EvalRecord,
     OccluderSpec,
     Pose,
@@ -177,6 +178,26 @@ class TestGenerateScene:
                 tabletop_scene("t", 0.8, occluder_fraction=bad)
 
 
+class TestUnseenScenes:
+    # Each of these used to give an all-invalid map, or a camera at the
+    # object's centre, without an error.
+    @pytest.mark.parametrize("object_depth", [-0.5, 0.0, math.nan, math.inf])
+    def test_object_depth_must_be_finite_and_positive(self, object_depth):
+        with pytest.raises(ValueError, match="object_depth"):
+            tabletop_scene("t", 0.8, object_depth=object_depth)
+
+    def test_sweep_rejects_a_depth_behind_the_camera(self):
+        with pytest.raises(ValueError, match="object_depth"):
+            default_sweep(object_depth=-0.5)
+
+    @pytest.mark.parametrize("true_scale, object_depth", [(1e-9, 0.5), (0.8, 1e6)],
+                             ids=["tiny", "far"])
+    def test_object_covering_no_pixel_raises(self, true_scale, object_depth):
+        spec = tabletop_scene("t", true_scale, object_depth=object_depth)
+        with pytest.raises(EmptyGeometryError, match="covers no pixel"):
+            generate_scene(spec)
+
+
 class TestTabletopGeometry:
     def test_object_rests_on_table(self):
         spec = tabletop_scene("t", 0.7, object_depth=0.55)
@@ -250,6 +271,13 @@ class TestRunSweep:
         assert all(r.success for r in records)
         assert max(r.dimensional_error for r in records) < 1e-3
         assert "success: 5/5" in table
+
+    def test_half_occluded_sweep_recovers_dimensions(self):
+        # With the occluding plane holding half the pairs, a free intercept
+        # let the plane win the vote: 4 of these 5 scenes were 8 cm off.
+        records, _ = run_sweep(default_sweep(seed=5, occluder_fraction=0.5, depth_noise=0.002))
+        assert all(r.success for r in records)
+        assert max(r.dimensional_error for r in records) <= 0.005
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,18 @@ class TestResidualSamples:
             residual_samples(a, b)
 
 
+def scene_pairs(spec):
+    """Paired measured and coarse-render depths of a generated scene."""
+    real, coarse = generate_scene(spec)
+    mesh, _ = builtin_model(spec.mesh_id)
+    virtual = render_depth(mesh, coarse, INTR)
+    pairs = residual_samples(real, virtual)
+    return (
+        real.data.ravel()[pairs].astype(np.float64),
+        virtual.data.ravel()[pairs].astype(np.float64),
+    )
+
+
 class TestRansac:
     def test_all_exact_inliers(self):
         mu = 0.9
@@ -158,7 +170,8 @@ class TestRansac:
         assert got.tolist() == list(range(20, 100))
 
     def test_two_samples_both_inliers(self):
-        got = ransac_inliers(np.array([0.5, 0.6]), np.array([0.55, 0.70]), RansacConfig(seed=1))
+        v = np.array([0.55, 0.70])
+        got = ransac_inliers(0.9 * v, v, RansacConfig(seed=1))
         assert got.tolist() == [0, 1]
 
     def test_constant_depth_scene(self):
@@ -184,48 +197,55 @@ class TestRansac:
         with pytest.raises(DegenerateSceneError):
             ransac_inliers(np.array([0.5]), np.array([0.5]), RansacConfig())
 
+    def test_cap_only_bounds_the_loop(self):
+        # On a clean scene the adaptive stop ends the loop long before
+        # either cap, so raising the cap changes nothing.
+        d, v = scene_pairs(tabletop_scene("t", 0.8, depth_noise=0.002, seed=27))
+        default = ransac_inliers(d, v, RansacConfig())
+        assert np.array_equal(ransac_inliers(d, v, RansacConfig(iterations=10_000)), default)
+        assert default.size > 0.99 * d.size
+
 
 def reference_ransac_inliers(samples, cfg):
     """Per-sample loop version of `ransac_inliers`, kept as its oracle.
 
     `samples` is a list of (pixel, real_depth, virtual_depth); returns the
-    frozenset of the final inlier pixels.
+    frozenset of the final inlier pixels. It draws the same indices up
+    front and applies the same adaptive stopping rule.
     """
     n = len(samples)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    d = np.array([s[1] for s in samples], dtype=np.float64)
-    v = np.array([s[2] for s in samples], dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
+    draws = np.random.default_rng(cfg.seed).integers(n, size=cfg.iterations)
 
-    best_count = -1
-    best_ab = (0.0, 0.0)
-    for _ in range(cfg.iterations):
-        i, j = rng.choice(n, size=2, replace=False)
-        if v[i] == v[j]:
-            a, b = 0.0, 0.5 * (d[i] + d[j])
-        else:
-            a = (d[j] - d[i]) / (v[j] - v[i])
-            b = d[i] - a * v[i]
-        count = int(np.count_nonzero(np.abs(d - (a * v + b)) <= cfg.inlier_threshold))
+    def agreeing(mu):
+        return [s for s in samples if abs(s[1] - mu * s[2]) <= cfg.inlier_threshold]
+
+    best_count = 0
+    best_mu = 0.0
+    needed = cfg.iterations
+    for k in range(1, cfg.iterations + 1):
+        _, d_i, v_i = samples[draws[k - 1]]
+        mu = d_i / v_i
+        count = len(agreeing(mu))
         if count > best_count:
-            best_count = count
-            best_ab = (a, b)
+            best_count, best_mu = count, mu
+            # Stop once an all-inlier draw is made with probability 0.999.
+            if count == n:
+                needed = 0
+            else:
+                needed = math.ceil(math.log(1.0 - 0.999) / math.log1p(-count / n))
+        if k >= needed:
+            break
 
     if best_count < math.ceil(cfg.min_inlier_fraction * n):
         raise DegenerateSceneError("below the minimum fraction")
 
-    a, b = best_ab
-    consensus = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
-    vv, dd = v[consensus], d[consensus]
-    var = float(np.var(vv))
-    if var > 0.0:
-        a = float(np.cov(vv, dd, bias=True)[0, 1] / var)
-        b = float(dd.mean() - a * vv.mean())
-    else:
-        a, b = 0.0, float(dd.mean())
-    final = np.abs(d - (a * v + b)) <= cfg.inlier_threshold
-    return frozenset(samples[k][0] for k in np.nonzero(final)[0])
+    consensus = agreeing(best_mu)
+    dd = np.array([s[1] for s in consensus])
+    vv = np.array([s[2] for s in consensus])
+    mu = float(dd @ vv) / float(vv @ vv)
+    return frozenset(s[0] for s in agreeing(mu))
 
 
 def _outcome(fn):
@@ -256,7 +276,7 @@ class TestRansacMatchesReference:
         rng = np.random.default_rng(data_seed)
         v = rng.uniform(0.3, 1.5, n)
         if depth_levels:
-            # Few distinct rendered depths exercise the equal-depth pair branch.
+            # Few distinct rendered depths make many hypotheses tie.
             v = np.round(v * depth_levels) / depth_levels + 0.3
         d = mu * v + rng.normal(0.0, noise, n)
         outliers = rng.random(n) < outlier_share
@@ -434,6 +454,33 @@ class TestClosedFormMatchesRenderedObjective:
         assert r.mu_opt == pytest.approx(float(d @ v) / float(v @ v), rel=1e-9)
         assert f(r.sigma_opt - 1e-3) >= f_opt
         assert f(r.sigma_opt + 1e-3) >= f_opt
+
+
+class TestFreeSpaceFraction:
+    # Over 60 default-sweep scenes per setting, correct fits read at most
+    # 0.0072 and wrong fits at least 0.19; the bounds keep a wide margin.
+    LOW = 0.05
+    HIGH = 0.1
+
+    @pytest.mark.parametrize("occluder_fraction", [0.2, 0.5])
+    def test_low_on_correct_fits(self, occluder_fraction):
+        mesh, _ = builtin_model("apple")
+        for spec in default_sweep(occluder_fraction=occluder_fraction, depth_noise=0.002):
+            real, coarse = generate_scene(spec)
+            r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
+            assert abs(r.mu_opt - spec.true_scale) < 0.01
+            assert 0.0 <= r.free_space_fraction < self.LOW
+
+    @pytest.mark.parametrize("occluder_fraction", [0.6, 0.8])
+    def test_high_when_the_occluder_wins(self, occluder_fraction):
+        # Occluders this large outvote the object, so the fit lands on
+        # the occluding plane and the object's pixels lie beyond it.
+        mesh, _ = builtin_model("apple")
+        for spec in default_sweep(occluder_fraction=occluder_fraction):
+            real, coarse = generate_scene(spec)
+            r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
+            assert abs(r.mu_opt - spec.true_scale) > 0.01
+            assert r.free_space_fraction > self.HIGH
 
 
 class TestAtBound:
