@@ -3,15 +3,19 @@
 OBJ support is the ASCII subset with `v` and `f` records; polygonal faces
 are fan-triangulated and vertices are re-centered on load so the model
 centroid sits at the origin (the invariant point of the scale transform).
-Depth maps use grayscale PFM (`Pf`), little-endian, meters, with 0.0 as
-the invalid sentinel; round-trips are bit-exact. Poses, intrinsics, and
-model dimensions travel in one JSON document.
+A plain file of `v x y z` lines then `f a b c` lines, as store_mesh
+writes it, is parsed in bulk; every other file goes through the line
+parser, and both give the same arrays. Depth maps use grayscale PFM
+(`Pf`), little-endian, meters, with 0.0 as the invalid sentinel (NaN and
+inf pixels load as 0.0); round-trips are bit-exact. Poses, intrinsics,
+and model dimensions travel in one JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,80 @@ def load_mesh(path) -> TriangleMesh:
     count back from the current vertex list.
     """
     path = Path(path)
+    parsed = _parse_plain_obj(path.read_bytes())
+    if parsed is None:
+        parsed = _parse_obj_lines(path)
+    try:
+        mesh = TriangleMesh(*parsed)
+    except ValueError as exc:
+        raise MeshParseError(f"{path.name}: {exc}") from None
+    centered, offset = mesh.recentered()
+    log.info(
+        "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
+        path.name, len(mesh.vertices), len(mesh.triangles), *offset,
+    )
+    return centered
+
+
+def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse store_mesh's layout (only `v x y z` lines, then only `f a b c`
+    lines) with one np.fromstring per block.
+
+    Returns (vertices, 0-based triangles), or None whenever the arrays
+    could differ from _parse_obj_lines': any other layout (comments, other
+    records, bundles, polygons, signed indices, tabs, CR, non-ASCII bytes),
+    a token numpy reads other than as one whole number, or an index
+    outside 1..vertex count. Coordinates that overflow read as inf in both.
+    """
+    split = buf.find(b"\nf ") + 1
+    v_block, f_block = buf[:split], buf[split:]
+    n_v = _plain_lines(v_block, b"v", b"0123456789+-.eE")
+    n_f = _plain_lines(f_block, b"f", b"0123456789")
+    if n_v < 1 or n_f < 1:
+        return None
+    try:
+        # On unmatched data numpy 2 raises ValueError; numpy < 2 warns with
+        # a DeprecationWarning and truncates, which the counts also catch.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            vertices = np.fromstring(v_block.translate(None, b"v"), sep=" ")
+            indices = np.fromstring(f_block.translate(None, b"f"), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    # Each line has three spaces after its tag, so these totals hold only
+    # if every line holds three values.
+    if vertices.size != 3 * n_v or indices.size != 3 * n_f:
+        return None
+    # int64 overflow saturates in numpy; the line parser reports the index.
+    if indices.min() < 1 or indices.max() > n_v:
+        return None
+    return vertices.reshape(n_v, 3), indices.reshape(n_f, 3) - 1
+
+
+def _plain_lines(block: bytes, tag: bytes, number_chars: bytes) -> int:
+    """Count the lines of `block` if each is `<tag>` and three values made
+    of `number_chars`, split by single spaces and ended by LF; else -1.
+
+    A value left empty is not caught here: it shows as a short count
+    once the block is parsed.
+    """
+    n = block.count(b"\n")
+    if (
+        # Deleting the values leaves each line's tag, three spaces and LF.
+        block.translate(None, number_chars) != (tag + b"   \n") * n
+        # Each line opens with the tag alone.
+        or not block.startswith(tag + b" ")
+        or block.count(b"\n" + tag + b" ") != n - 1
+    ):
+        return -1
+    return n
+
+
+def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse any OBJ line by line: (vertices, 0-based fan-triangulated faces).
+
+    Raises MeshParseError naming the line of the first bad record.
+    """
     vertices: list[tuple[float, float, float]] = []
     triangles: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -81,17 +159,8 @@ def load_mesh(path) -> TriangleMesh:
                     idx.append(k)
                 for a, b in zip(idx[1:-1], idx[2:]):
                     triangles.append((idx[0], a, b))
-    try:
-        mesh = TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
-                            np.array(triangles, dtype=np.int64).reshape(-1, 3))
-    except ValueError as exc:
-        raise MeshParseError(f"{path.name}: {exc}") from None
-    centered, offset = mesh.recentered()
-    log.info(
-        "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
-        path.name, len(vertices), len(triangles), *offset,
-    )
-    return centered
+    return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 def store_mesh(path, mesh: TriangleMesh) -> None:
@@ -113,7 +182,10 @@ def store_depth(path, depth: DepthMap) -> None:
 
 
 def load_depth(path) -> DepthMap:
-    """Read a grayscale PFM depth map, bit-exact against store_depth."""
+    """Read a grayscale PFM depth map, bit-exact against store_depth.
+
+    NaN and +/-inf pixels, the holes a sensor leaves, load as 0.0 (invalid).
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -153,6 +225,11 @@ def load_depth(path) -> DepthMap:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     data = np.flipud(data).copy()  # PFM stores rows bottom-up
+    holes = ~np.isfinite(data)
+    if holes.any():
+        data[holes] = 0.0
+        log.info("%s: %d NaN/inf pixels mapped to 0.0 (invalid)",
+                 Path(path).name, int(np.count_nonzero(holes)))
     if -scale != 1.0:
         data *= np.float32(-scale)
     try:

@@ -138,14 +138,19 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarra
     `v` positive. One-pair hypotheses mu = d[i]/v[i] are scored by the
     count of |d - mu*v| <= inlier_threshold until k draws reach
     ceil(log(1 - CONFIDENCE)/log(1 - w)), w the best inlier fraction so
-    far, or cfg.iterations. The best consensus is refit with
-    mu = <d,v>/<v,v>; returns the ascending int64 positions of the pairs
-    within the threshold of that mu. Deterministic for a fixed seed.
+    far, or cfg.iterations. Each hypothesis counts its own pair, so
+    w >= 1/n, and no more indices are drawn than w = 1/n needs. The best
+    consensus is refit with mu = <d,v>/<v,v>; returns the ascending int64
+    positions of the pairs within the threshold of that mu. Deterministic
+    for a fixed seed.
     """
     n = len(d)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    draws = np.random.default_rng(cfg.seed).integers(n, size=cfg.iterations)
+    # A shorter draw is a prefix of a longer one, so the cap changes no result
+    # (a pair's own residual is one rounding, far below any threshold in use).
+    size = min(cfg.iterations, math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-1.0 / n)))
+    draws = np.random.default_rng(cfg.seed).integers(n, size=size)
 
     # Each hypothesis is scored in one reused buffer: an (iterations, n)
     # broadcast was slower, as its temporaries leave the cache.

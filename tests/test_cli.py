@@ -79,6 +79,13 @@ def render_fixture_depth(scale: float = 1.0) -> DepthMap:
     return render_depth(square_mesh(half=0.1), pose, INTRINSICS, scale=scale)
 
 
+def write_raw_pfm(path, data: np.ndarray) -> None:
+    """A PFM of any float32 values, which store_depth would refuse."""
+    height, width = data.shape
+    header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
+    path.write_bytes(header + np.flipud(data).astype("<f4").tobytes())
+
+
 class TestRender:
     def test_writes_loadable_depth_map(self, workspace, capsys):
         tmp_path, obj, scene = workspace
@@ -212,6 +219,21 @@ class TestRefine:
         assert main(argv) == EXIT_INVALID_INPUT
         assert "depth-scale" in capsys.readouterr().err
 
+    def test_sensor_holes_refine(self, workspace):
+        tmp_path, _, _ = workspace
+        measured = render_fixture_depth()
+        data = measured.data.copy()
+        rows, cols = np.nonzero(measured.valid_mask)
+        data[rows[::7], cols[::7]] = np.nan
+        data[rows[3::11], cols[3::11]] = np.inf
+        depth_path = tmp_path / "holes.pfm"
+        write_raw_pfm(depth_path, data)
+        argv, out = self.refine_args(workspace, depth_path)
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["mu_opt"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["inlier_count"] == int(np.count_nonzero(np.isfinite(data) & (data > 0.0)))
+
     def test_disjoint_support_exits_3(self, workspace, capsys):
         tmp_path, _, _ = workspace
         data = np.zeros((100, 100), dtype=np.float32)
@@ -241,6 +263,17 @@ class TestInvalidInputs:
         argv = ["refine", "--mesh", workspace[1], "--scene", workspace[2],
                 "--depth", str(bad), "--out", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_INVALID_INPUT
+
+    def test_negative_depth_pixel_exits_2(self, workspace, capsys):
+        tmp_path, obj, scene = workspace
+        data = render_fixture_depth().data.copy()
+        data[0, 0] = -0.5
+        depth_path = tmp_path / "negative.pfm"
+        write_raw_pfm(depth_path, data)
+        argv = ["refine", "--mesh", obj, "--scene", scene,
+                "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "positive" in capsys.readouterr().err
 
     def test_missing_scene_field_exits_2(self, workspace):
         tmp_path, obj, _ = workspace

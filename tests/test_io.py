@@ -2,10 +2,14 @@
 
 import json
 import math
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrefine import (
     CameraIntrinsics,
@@ -13,17 +17,21 @@ from depthrefine import (
     CuboidDims,
     DepthMap,
     DepthMapFormatError,
+    DepthRefineError,
     EmptyGeometryError,
     MeshParseError,
     Pose,
+    TriangleMesh,
     UnitQuaternion,
     load_depth,
     load_mesh,
     load_scene_config,
     quat_x,
     store_depth,
+    store_mesh,
     store_scene_config,
 )
+from depthrefine import fileio
 from depthrefine.fileio import MAX_PFM_PIXELS
 from helpers import square_mesh, write_obj
 
@@ -130,6 +138,115 @@ class TestLoadMesh:
             load_mesh(path)
 
 
+def _line_parser_load(path) -> TriangleMesh:
+    """load_mesh with its bulk path switched off."""
+    with mock.patch.object(fileio, "_parse_plain_obj", return_value=None):
+        return load_mesh(path)
+
+
+def _outcome(load, path):
+    """The loaded arrays, or the type and message of what was raised."""
+    try:
+        mesh = load(path)
+    except DepthRefineError as exc:
+        return type(exc), str(exc)
+    return mesh.vertices, mesh.triangles
+
+
+def _edit_lines(text: str, tag: str, edit) -> str:
+    """Apply `edit` to the tokens after the tag of every `tag` line."""
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        if line.startswith(tag + " "):
+            lines[k] = " ".join([tag, *edit(line.split()[1:])]) + "\n"
+    return "".join(lines)
+
+
+def _face_first(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if line.startswith("f "))
+    return "".join([lines[k], *lines[:k], *lines[k + 1:]])
+
+
+def _glue_tag(text: str, k: int) -> str:
+    """Glue the k-th `v` line's tag to its first value, keeping 3 spaces."""
+    lines = text.splitlines(keepends=True)
+    i = [i for i, line in enumerate(lines) if line.startswith("v ")][k]
+    lines[i] = "v" + lines[i][2:-1] + " \n"
+    return "".join(lines)
+
+
+def _replace_first(text: str, tag: str, token: str) -> str:
+    """Swap the first value of the first `tag` line for `token`."""
+    return re.sub(rf"(?m)^{tag} \S+", lambda m: f"{tag} {token}", text, count=1)
+
+
+# Rewrites of a store_mesh file that the bulk path must hand to the line
+# parser: (text, vertex count, fuzz token) -> text.
+FALLBACK_REWRITES = {
+    "crlf": lambda t, n, tok: t.replace("\n", "\r\n"),
+    "tabs": lambda t, n, tok: t.replace(" ", "\t"),
+    "comment": lambda t, n, tok: "# exported mesh\n" + t,
+    "vn": lambda t, n, tok: t.replace("\nf ", "\nvn 0 0 1\nf ", 1),
+    "bundles": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [f"{i}//{i}" for i in ix]),
+    "quads": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [*ix, ix[0]]),
+    "negative": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [str(int(i) - n - 1) for i in ix]),
+    "4-value v": lambda t, n, tok: _edit_lines(t, "v", lambda xs: [*xs, "1"]),
+    "short v": lambda t, n, tok: _replace_first(t, "v", ""),
+    "glued first tag": lambda t, n, tok: _glue_tag(t, 0),
+    "glued last tag": lambda t, n, tok: _glue_tag(t, -1),
+    "face first": lambda t, n, tok: _face_first(t),
+    "nan(123)": lambda t, n, tok: _replace_first(t, "v", "nan(123)"),
+    "int64 overflow": lambda t, n, tok: _replace_first(t, "f", "9223372036854775808"),
+}
+
+# Rewrites that keep the plain layout but may hold tokens numpy and Python
+# read differently; either path may take them.
+TOKEN_REWRITES = {
+    "vertex token": lambda t, n, tok: _replace_first(t, "v", tok),
+    "index token": lambda t, n, tok: _replace_first(t, "f", tok.strip("+-.eE") or "0"),
+    "inf by overflow": lambda t, n, tok: _replace_first(t, "v", "-1e999"),
+}
+
+
+@st.composite
+def meshes(draw) -> TriangleMesh:
+    n_v = draw(st.integers(3, 9))
+    coords = draw(st.lists(st.floats(-1e6, 1e6), min_size=3 * n_v, max_size=3 * n_v))
+    index = st.integers(0, n_v - 1)
+    tris = draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=6))
+    return TriangleMesh(np.reshape(coords, (n_v, 3)), np.array(tris))
+
+
+class TestBulkObjMatchesLineParser:
+    """load_mesh's bulk path gives the line parser's arrays or its error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=meshes(), token=st.text(alphabet="0123456789+-.eE", min_size=1, max_size=7))
+    def test_same_arrays_or_same_error(self, tmp_path_factory, mesh, token):
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        store_mesh(path, mesh)
+        plain = path.read_text()
+        assert fileio._parse_plain_obj(path.read_bytes()) is not None
+        n_v = len(mesh.vertices)
+        cases = {"plain": plain}
+        for name, rewrite in {**FALLBACK_REWRITES, **TOKEN_REWRITES}.items():
+            cases[name] = rewrite(plain, n_v, token)
+        for name, text in cases.items():
+            path.write_bytes(text.encode("utf-8"))
+            if name in FALLBACK_REWRITES:
+                assert fileio._parse_plain_obj(path.read_bytes()) is None, name
+            got = _outcome(load_mesh, path)
+            want = _outcome(_line_parser_load, path)
+            if isinstance(want[0], np.ndarray):
+                assert isinstance(got[0], np.ndarray), (name, got)
+                assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+                assert np.array_equal(got[0], want[0]), name
+                assert np.array_equal(got[1], want[1]), name
+            else:
+                assert got == want, name
+
+
 class TestPfm:
     def random_map(self, seed: int = 0) -> DepthMap:
         rng = np.random.default_rng(seed)
@@ -204,6 +321,23 @@ class TestPfm:
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + payload)
         with pytest.raises(DepthMapFormatError):
             load_depth(path)
+
+    def test_nan_and_inf_holes_load_invalid(self, tmp_path, caplog):
+        # store_depth refuses non-finite maps, so write the PFM by hand.
+        data = self.random_map(seed=3).data.copy()
+        holes = np.zeros(data.shape, dtype=bool)
+        holes[0, 0] = holes[2, 3] = holes[4, 1] = holes[6, 4] = True
+        data[0, 0], data[2, 3], data[4, 1], data[6, 4] = np.nan, np.inf, -np.inf, np.nan
+        path = tmp_path / "holes.pfm"
+        path.write_bytes(b"Pf\n5 7\n-1.0\n" + np.flipud(data).astype("<f4").tobytes())
+        with caplog.at_level("INFO", logger="depthrefine.fileio"):
+            loaded = load_depth(path)
+        assert "4 NaN/inf pixels" in caplog.text
+        assert np.array_equal(loaded.data[holes], np.zeros(4, dtype=np.float32))
+        assert not loaded.valid_mask[holes].any()
+        assert np.array_equal(
+            loaded.data[~holes].view(np.uint32), data[~holes].view(np.uint32)
+        )
 
     def test_scale_magnitude_applied(self, tmp_path):
         path = tmp_path / "d.pfm"

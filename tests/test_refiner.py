@@ -1,6 +1,7 @@
 """Objective, robust inlier selection, and the closed-form sigma fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ class TestRansac:
         default = ransac_inliers(d, v, RansacConfig())
         assert np.array_equal(ransac_inliers(d, v, RansacConfig(iterations=10_000)), default)
         assert default.size > 0.99 * d.size
+
+    def test_huge_cap_draws_only_what_the_stop_can_use(self):
+        # Once one pair counts itself, w >= 1/n caps the loop at about 6.9n
+        # draws, so a cap meant as "no cap" allocates no more than that.
+        rng = np.random.default_rng(15)
+        v = rng.uniform(0.4, 0.8, 1000)
+        d = 0.8 * v + rng.normal(0.0, 0.002, 1000)
+        d[::3] -= 0.2
+        want = ransac_inliers(d, v, RansacConfig(iterations=10_000))
+        tracemalloc.start()
+        try:
+            got = ransac_inliers(d, v, RansacConfig(iterations=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 1_000_000
 
 
 def reference_ransac_inliers(samples, cfg):
