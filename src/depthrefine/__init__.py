@@ -29,7 +29,6 @@ from .errors import (
     NoFeasibleCandidateError,
     NoOverlapError,
     NumericalError,
-    exit_code_for,
 )
 from .fileio import (
     load_depth,
@@ -40,27 +39,17 @@ from .fileio import (
     store_scene_config,
 )
 from .geometry import (
-    UNIT_NORM_TOL,
     CameraIntrinsics,
     CuboidDims,
     Pose,
     UnitQuaternion,
     apply_sigma_to_pose,
-    as_vec3,
-    project,
     quat_mul,
-    quat_to_matrix,
-    quat_x,
-    quat_y,
-    quat_z,
-    rotate,
     transform_point,
 )
 from .grasp import (
     GraspCandidate,
     GraspSamplingConfig,
-    candidate_orientation,
-    candidate_position,
     sample_candidates,
 )
 from .harness import (
@@ -72,25 +61,17 @@ from .harness import (
     SceneSpec,
     builtin_model,
     centroid_error,
-    cuboid_mesh,
     default_sweep,
     dimensional_error,
-    ellipsoid_mesh,
     generate_scene,
-    leftmost_region,
     run_sweep,
-    simulate_rgb_estimate,
-    summary_table,
     tabletop_scene,
 )
 from .refiner import (
     RansacConfig,
     RefineConfig,
     RefinementResult,
-    objective,
-    ransac_inliers,
     refine,
-    residual_samples,
 )
 from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
 
@@ -132,44 +113,25 @@ __all__ = [
     "RefinementResult",
     "SceneSpec",
     "TriangleMesh",
-    "UNIT_NORM_TOL",
     "UnitQuaternion",
     "apply_sigma_to_pose",
-    "as_vec3",
     "builtin_model",
-    "candidate_orientation",
-    "candidate_position",
     "centroid_error",
-    "cuboid_mesh",
     "default_sweep",
     "dimensional_error",
-    "ellipsoid_mesh",
-    "exit_code_for",
     "generate_scene",
-    "leftmost_region",
     "load_depth",
     "load_mesh",
     "load_scene_config",
-    "objective",
     "pixel_support",
-    "project",
     "quat_mul",
-    "quat_to_matrix",
-    "quat_x",
-    "quat_y",
-    "quat_z",
-    "ransac_inliers",
     "refine",
     "render_depth",
-    "residual_samples",
-    "rotate",
     "run_sweep",
     "sample_candidates",
-    "simulate_rgb_estimate",
     "store_depth",
     "store_mesh",
     "store_scene_config",
-    "summary_table",
     "tabletop_scene",
     "transform_point",
 ]

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError, exit_code_for
+from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError
 from .fileio import load_depth, load_mesh, load_scene_config, store_depth, store_scene_config
 from .geometry import UnitQuaternion, transform_point
 from .grasp import GraspSamplingConfig, sample_candidates
@@ -70,7 +70,6 @@ def cmd_refine(args) -> int:
     cfg = RefineConfig(
         bound_fraction=args.bound_fraction,
         ransac=RansacConfig(
-            iterations=args.ransac_iterations,
             inlier_threshold=args.inlier_threshold,
             min_inlier_fraction=args.min_inlier_fraction,
             seed=args.seed,
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-scale", type=float, default=1.0,
                    help="multiply loaded depths by this factor (e.g. 0.001 for mm)")
     p.add_argument("--bound-fraction", type=float, default=0.8)
-    p.add_argument("--ransac-iterations", type=int, default=256)
     p.add_argument("--inlier-threshold", type=float, default=0.007)
     p.add_argument("--min-inlier-fraction", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except DepthRefineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -1,4 +1,4 @@
-"""Exception hierarchy and the CLI exit-code mapping.
+"""Exception hierarchy and the CLI exit codes.
 
 Every error class carries the process exit code the CLI reports when the
 error escapes a subcommand. Codes partition the error classes: parse and
@@ -74,10 +74,3 @@ class NumericalError(DepthRefineError):
     """Objective evaluated to a non-finite value."""
 
     exit_code = EXIT_NUMERICAL
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Exit code for an exception escaping a CLI subcommand."""
-    if isinstance(exc, DepthRefineError):
-        return exc.exit_code
-    return EXIT_UNEXPECTED

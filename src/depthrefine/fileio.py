@@ -116,7 +116,8 @@ def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """
     vertices: list[tuple[float, float, float]] = []
     triangles: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would hide the first record.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts or parts[0] not in ("v", "f"):

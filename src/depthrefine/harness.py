@@ -203,7 +203,8 @@ def generate_scene(
     ground-truth render, never to the model the refiner sees). The
     occluder overwrites its region where it is nearer; Gaussian depth
     noise lands on every valid pixel. Deterministic per seed. Raises
-    EmptyGeometryError when the camera sees no pixel of the object.
+    EmptyGeometryError when the camera sees no pixel of the object, and
+    ValueError when the occluder hides none of its region.
     """
     mesh, _ = builtin_model(spec.mesh_id)
     rng = np.random.default_rng(spec.seed)
@@ -223,7 +224,13 @@ def generate_scene(
         # The region lies inside the support, where every depth is above 0,
         # so the nearer of object and occluder is the minimum.
         flat = data.reshape(-1)
-        flat[region] = np.minimum(flat[region], spec.occluder.depth)
+        covered = flat[region]
+        if not np.any(covered > spec.occluder.depth):
+            raise ValueError(
+                f"scene {spec.scene_id!r}: the occluder at depth {spec.occluder.depth} "
+                "is nearer than the object on no pixel of its region"
+            )
+        flat[region] = np.minimum(covered, spec.occluder.depth)
 
     if spec.depth_noise > 0.0:
         valid = data > 0.0

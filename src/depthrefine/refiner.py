@@ -41,16 +41,18 @@ CONFIDENCE = 0.999
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Robust scale-only fit d = mu*d_hat; `iterations` caps its adaptive loop."""
+    """Robust scale-only fit d = mu*d_hat.
 
-    iterations: int = 256
+    A fit whose consensus is below `min_inlier_fraction` of the pairs is
+    rejected, and that fraction also sets how long the adaptive loop
+    searches before giving up.
+    """
+
     inlier_threshold: float = 0.007
     min_inlier_fraction: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if not self.inlier_threshold > 0.0:
             raise ValueError("inlier_threshold must be positive")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
@@ -137,28 +139,35 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarra
     `d` and `v` are paired measured and rendered depths, float64, every
     `v` positive. One-pair hypotheses mu = d[i]/v[i] are scored by the
     count of |d - mu*v| <= inlier_threshold until k draws reach
-    ceil(log(1 - CONFIDENCE)/log(1 - w)), w the best inlier fraction so
-    far, or cfg.iterations. Each hypothesis counts its own pair, so
-    w >= 1/n, and no more indices are drawn than w = 1/n needs. The best
-    consensus is refit with mu = <d,v>/<v,v>; returns the ascending int64
-    positions of the pairs within the threshold of that mu. Deterministic
-    for a fixed seed.
+    ceil(log(1 - CONFIDENCE)/log(1 - w)), the draws that make an
+    all-inlier one likely (Fischler & Bolles, 1981). Here w is the best
+    inlier fraction so far, raised to min_inlier_fraction, so a scene
+    with no consensus of that size gives up as soon as one would have
+    been found; it is also raised to 1/n, since each hypothesis counts
+    its own pair. The best consensus is refit with mu = <d,v>/<v,v>;
+    returns the ascending int64 positions of the pairs within the
+    threshold of that mu. Raises DegenerateSceneError when the best
+    consensus is below min_inlier_fraction. Deterministic for a fixed
+    seed.
     """
     n = len(d)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    # A shorter draw is a prefix of a longer one, so the cap changes no result
-    # (a pair's own residual is one rounding, far below any threshold in use).
-    size = min(cfg.iterations, math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-1.0 / n)))
-    draws = np.random.default_rng(cfg.seed).integers(n, size=size)
 
-    # Each hypothesis is scored in one reused buffer: an (iterations, n)
+    def draws_for(w: float) -> int:
+        return 1 if w >= 1.0 else math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-w))
+
+    floor = max(cfg.min_inlier_fraction, 1.0 / n)
+    # The stop never needs more draws than at the floor.
+    draws = np.random.default_rng(cfg.seed).integers(n, size=draws_for(floor))
+
+    # Each hypothesis is scored in one reused buffer: a (draws, n)
     # broadcast was slower, as its temporaries leave the cache.
     resid = np.empty(n)
     hit = np.empty(n, dtype=bool)
     best_count = 0
     best_mu = 0.0
-    needed = cfg.iterations
+    needed = len(draws)
     for k, i in enumerate(draws, start=1):
         mu = d[i] / v[i]
         np.multiply(v, mu, out=resid)
@@ -167,9 +176,7 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarra
         count = int(np.count_nonzero(np.less_equal(resid, cfg.inlier_threshold, out=hit)))
         if count > best_count:
             best_count, best_mu = count, mu
-            # Once every pair agrees, log(1 - w) is -inf: stop at once.
-            w = count / n
-            needed = 0 if w == 1.0 else math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-w))
+            needed = draws_for(max(count / n, floor))
         if k >= needed:
             break
 

@@ -21,22 +21,20 @@ from depthrefine import (
     Pose,
     apply_sigma_to_pose,
     builtin_model,
-    candidate_orientation,
     centroid_error,
     dimensional_error,
     generate_scene,
-    leftmost_region,
     pixel_support,
-    quat_to_matrix,
-    quat_y,
-    quat_z,
     refine,
     render_depth,
-    residual_samples,
     sample_candidates,
     tabletop_scene,
     transform_point,
 )
+from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
+from depthrefine.grasp import candidate_orientation
+from depthrefine.harness import leftmost_region
+from depthrefine.refiner import residual_samples
 
 from helpers import random_quaternion
 

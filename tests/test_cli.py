@@ -32,7 +32,6 @@ from depthrefine import (
     NumericalError,
     Pose,
     UnitQuaternion,
-    exit_code_for,
     load_depth,
     load_scene_config,
     render_depth,
@@ -344,6 +343,19 @@ class TestInvalidInputs:
             main(["render", "--mesh", "x.obj"])
         assert exc_info.value.code == 2
 
+    def test_ransac_iterations_flag_is_gone(self, workspace):
+        # The RANSAC draw cap follows from --min-inlier-fraction.
+        tmp_path, obj, scene = workspace
+        depth = tmp_path / "measured.pfm"
+        store_depth(depth, render_fixture_depth())
+        out = tmp_path / "result.json"
+        argv = ["refine", "--mesh", obj, "--scene", scene, "--depth", str(depth), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--ransac-iterations", "10"])
+        assert exc_info.value.code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert main(argv) == EXIT_OK
+
 
 class TestSampleGrasps:
     def test_matches_library_sampling(self, tmp_path):
@@ -482,6 +494,17 @@ class TestSimulateAndEval:
         assert "occluder depth" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    @pytest.mark.parametrize("offset", ["-0.2", "0"])
+    def test_occluder_hiding_nothing_exits_2(self, tmp_path, capsys, command, offset):
+        # An occluder at or behind the object's depth used to be dropped,
+        # writing the unoccluded scene with exit 0.
+        argv, outputs = scene_command(command, tmp_path)
+        argv += ["--occluder-fraction", "0.2", f"--occluder-offset={offset}"]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "no pixel of its region" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     @pytest.mark.parametrize("command, flags, message", [
         ("simulate", ["--object-depth=-0.5"], "object_depth"),
         ("simulate", ["--object-depth=0"], "object_depth"),
@@ -500,10 +523,9 @@ class TestSimulateAndEval:
 
 class TestExitCodeMapping:
     def test_error_classes_partition_codes(self):
-        assert exit_code_for(MeshParseError("x")) == EXIT_INVALID_INPUT
-        assert exit_code_for(NoOverlapError("x")) == EXIT_NO_OVERLAP
-        assert exit_code_for(DegenerateSceneError("x")) == EXIT_DEGENERATE_SCENE
-        assert exit_code_for(NoFeasibleCandidateError("x")) == EXIT_NO_CANDIDATE
-        assert exit_code_for(NumericalError("x")) == EXIT_NUMERICAL
-        assert exit_code_for(DepthRefineError("x")) == EXIT_UNEXPECTED
-        assert exit_code_for(RuntimeError("x")) == EXIT_UNEXPECTED
+        assert MeshParseError.exit_code == EXIT_INVALID_INPUT
+        assert NoOverlapError.exit_code == EXIT_NO_OVERLAP
+        assert DegenerateSceneError.exit_code == EXIT_DEGENERATE_SCENE
+        assert NoFeasibleCandidateError.exit_code == EXIT_NO_CANDIDATE
+        assert NumericalError.exit_code == EXIT_NUMERICAL
+        assert DepthRefineError.exit_code == EXIT_UNEXPECTED

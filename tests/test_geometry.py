@@ -13,15 +13,10 @@ from depthrefine import (
     Pose,
     UnitQuaternion,
     apply_sigma_to_pose,
-    project,
     quat_mul,
-    quat_to_matrix,
-    quat_x,
-    quat_y,
-    quat_z,
-    rotate,
     transform_point,
 )
+from depthrefine.geometry import project, quat_to_matrix, quat_y, quat_z, rotate
 from helpers import random_quaternion
 
 

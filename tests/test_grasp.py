@@ -9,13 +9,10 @@ from depthrefine import (
     GraspSamplingConfig,
     NoFeasibleCandidateError,
     UnitQuaternion,
-    candidate_orientation,
-    candidate_position,
-    quat_to_matrix,
-    quat_y,
-    quat_z,
     sample_candidates,
 )
+from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
+from depthrefine.grasp import candidate_orientation, candidate_position
 from helpers import random_quaternion
 
 CENTER = np.array([0.1, -0.2, 0.45])

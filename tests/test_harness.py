@@ -19,18 +19,20 @@ from depthrefine import (
     centroid_error,
     default_sweep,
     dimensional_error,
-    ellipsoid_mesh,
     generate_scene,
-    leftmost_region,
     pixel_support,
-    quat_x,
     refine,
     render_depth,
     run_sweep,
-    simulate_rgb_estimate,
-    summary_table,
     tabletop_scene,
     transform_point,
+)
+from depthrefine.geometry import quat_x
+from depthrefine.harness import (
+    ellipsoid_mesh,
+    leftmost_region,
+    simulate_rgb_estimate,
+    summary_table,
 )
 
 INTR = DEFAULT_INTRINSICS
@@ -124,9 +126,11 @@ class TestGenerateScene:
         got = real.data.ravel()[region].astype(np.float64)
         assert np.abs(got - plane).max() <= 1e-6
 
-    def test_occluder_behind_object_no_effect(self):
+    def test_occluder_hiding_nothing_raises(self):
+        # Such an occluder used to be dropped silently, giving the
+        # unoccluded scene.
         base = tabletop_scene("t", 0.8, seed=2)
-        spec = SceneSpec(
+        behind = SceneSpec(
             scene_id="t",
             true_scale=0.8,
             true_pose=base.true_pose,
@@ -134,10 +138,13 @@ class TestGenerateScene:
             occluder=OccluderSpec(depth=2.0, fraction=0.2),
             seed=2,
         )
-        real, _ = generate_scene(spec)
-        mesh, _ = builtin_model("apple")
-        gt = render_depth(mesh, base.true_pose, INTR, scale=0.8)
-        assert np.array_equal(real.data, gt.data)
+        at_centre, farther = (
+            tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=offset, seed=2)
+            for offset in (0.0, -0.2)
+        )
+        for spec in (behind, at_centre, farther):
+            with pytest.raises(ValueError, match="no pixel of its region"):
+                generate_scene(spec)
 
     def test_depth_noise_moves_only_valid_pixels(self):
         spec = tabletop_scene("t", 0.8, depth_noise=0.003, seed=3)

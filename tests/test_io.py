@@ -26,11 +26,11 @@ from depthrefine import (
     load_depth,
     load_mesh,
     load_scene_config,
-    quat_x,
     store_depth,
     store_mesh,
     store_scene_config,
 )
+from depthrefine.geometry import quat_x
 from depthrefine import fileio
 from depthrefine.fileio import MAX_PFM_PIXELS
 from helpers import square_mesh, write_obj
@@ -131,6 +131,17 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError, match="at least 3"):
             load_mesh(path)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # The mark used to hide the first `v` record, which shifted every face.
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"
+        plain, marked = tmp_path / "plain.obj", tmp_path / "bom.obj"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_mesh(plain), load_mesh(marked)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.triangles, want.triangles)
+
     def test_no_triangles(self, tmp_path):
         path = tmp_path / "empty.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
@@ -187,6 +198,7 @@ FALLBACK_REWRITES = {
     "crlf": lambda t, n, tok: t.replace("\n", "\r\n"),
     "tabs": lambda t, n, tok: t.replace(" ", "\t"),
     "comment": lambda t, n, tok: "# exported mesh\n" + t,
+    "bom": lambda t, n, tok: "\ufeff" + t,
     "vn": lambda t, n, tok: t.replace("\nf ", "\nvn 0 0 1\nf ", 1),
     "bundles": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [f"{i}//{i}" for i in ix]),
     "quads": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [*ix, ix[0]]),

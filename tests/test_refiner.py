@@ -22,15 +22,13 @@ from depthrefine import (
     builtin_model,
     default_sweep,
     generate_scene,
-    objective,
     pixel_support,
-    quat_x,
-    ransac_inliers,
     refine,
     render_depth,
-    residual_samples,
     tabletop_scene,
 )
+from depthrefine.geometry import quat_x
+from depthrefine.refiner import objective, ransac_inliers, residual_samples
 import depthrefine.refiner as refiner_module
 
 INTR = DEFAULT_INTRINSICS
@@ -42,8 +40,6 @@ def apple_pose(z: float = 0.5) -> Pose:
 
 class TestConfigs:
     def test_ransac_validation(self):
-        with pytest.raises(ValueError):
-            RansacConfig(iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
         with pytest.raises(ValueError):
@@ -142,18 +138,6 @@ class TestResidualSamples:
             residual_samples(a, b)
 
 
-def scene_pairs(spec):
-    """Paired measured and coarse-render depths of a generated scene."""
-    real, coarse = generate_scene(spec)
-    mesh, _ = builtin_model(spec.mesh_id)
-    virtual = render_depth(mesh, coarse, INTR)
-    pairs = residual_samples(real, virtual)
-    return (
-        real.data.ravel()[pairs].astype(np.float64),
-        virtual.data.ravel()[pairs].astype(np.float64),
-    )
-
-
 class TestRansac:
     def test_all_exact_inliers(self):
         mu = 0.9
@@ -198,25 +182,33 @@ class TestRansac:
         with pytest.raises(DegenerateSceneError):
             ransac_inliers(np.array([0.5]), np.array([0.5]), RansacConfig())
 
-    def test_cap_only_bounds_the_loop(self):
-        # On a clean scene the adaptive stop ends the loop long before
-        # either cap, so raising the cap changes nothing.
-        d, v = scene_pairs(tabletop_scene("t", 0.8, depth_noise=0.002, seed=27))
-        default = ransac_inliers(d, v, RansacConfig())
-        assert np.array_equal(ransac_inliers(d, v, RansacConfig(iterations=10_000)), default)
-        assert default.size > 0.99 * d.size
+    def test_search_length_follows_min_fraction(self):
+        # A 30% consensus is drawn within ceil(log(0.001)/log(0.7)) = 20
+        # draws with probability 0.999. Here the first 20 draws all miss it,
+        # so the default gives up, while a 10% minimum searches 66 draws.
+        n, seed = 1000, 4
+        first = np.random.default_rng(seed).integers(n, size=20)
+        rng = np.random.default_rng(16)
+        v = rng.uniform(0.4, 0.8, n)
+        d = rng.uniform(0.2, 1.2, n)
+        consensus = np.setdiff1d(np.arange(n), first)[: int(0.3 * n)]
+        d[consensus] = 0.9 * v[consensus]
+        with pytest.raises(DegenerateSceneError):
+            ransac_inliers(d, v, RansacConfig(seed=seed))
+        got = ransac_inliers(d, v, RansacConfig(min_inlier_fraction=0.1, seed=seed))
+        assert set(consensus) <= set(got.tolist())
 
-    def test_huge_cap_draws_only_what_the_stop_can_use(self):
+    def test_tiny_min_fraction_draws_only_what_the_stop_can_use(self):
         # Once one pair counts itself, w >= 1/n caps the loop at about 6.9n
-        # draws, so a cap meant as "no cap" allocates no more than that.
+        # draws, so a minimum fraction near 0 allocates no more than that.
         rng = np.random.default_rng(15)
         v = rng.uniform(0.4, 0.8, 1000)
         d = 0.8 * v + rng.normal(0.0, 0.002, 1000)
         d[::3] -= 0.2
-        want = ransac_inliers(d, v, RansacConfig(iterations=10_000))
+        want = ransac_inliers(d, v, RansacConfig())
         tracemalloc.start()
         try:
-            got = ransac_inliers(d, v, RansacConfig(iterations=10**7))
+            got = ransac_inliers(d, v, RansacConfig(min_inlier_fraction=1e-12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,25 +226,30 @@ def reference_ransac_inliers(samples, cfg):
     n = len(samples)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
-    draws = np.random.default_rng(cfg.seed).integers(n, size=cfg.iterations)
+
+    def trials(w):
+        # Draws until an all-inlier one was made with probability 0.999.
+        if w >= 1.0:
+            return 1
+        return math.ceil(math.log(1.0 - 0.999) / math.log1p(-w))
+
+    floor = max(cfg.min_inlier_fraction, 1.0 / n)
+    cap = trials(floor)
+    draws = np.random.default_rng(cfg.seed).integers(n, size=cap)
 
     def agreeing(mu):
         return [s for s in samples if abs(s[1] - mu * s[2]) <= cfg.inlier_threshold]
 
     best_count = 0
     best_mu = 0.0
-    needed = cfg.iterations
-    for k in range(1, cfg.iterations + 1):
+    needed = cap
+    for k in range(1, cap + 1):
         _, d_i, v_i = samples[draws[k - 1]]
         mu = d_i / v_i
         count = len(agreeing(mu))
         if count > best_count:
             best_count, best_mu = count, mu
-            # Stop once an all-inlier draw is made with probability 0.999.
-            if count == n:
-                needed = 0
-            else:
-                needed = math.ceil(math.log(1.0 - 0.999) / math.log1p(-count / n))
+            needed = trials(max(count / n, floor))
         if k >= needed:
             break
 
@@ -282,14 +279,13 @@ class TestRansacMatchesReference:
         noise=st.floats(0.0, 0.01),
         depth_levels=st.sampled_from([0, 1, 3]),
         threshold=st.floats(1e-4, 0.05),
-        min_fraction=st.floats(0.05, 0.7),
-        iterations=st.integers(1, 64),
+        min_fraction=st.floats(0.001, 1.0),
         seed=st.integers(0, 2**32 - 1),
         data_seed=st.integers(0, 2**32 - 1),
     )
     def test_same_inliers_and_failures(
         self, n, mu, outlier_share, noise, depth_levels, threshold, min_fraction,
-        iterations, seed, data_seed,
+        seed, data_seed,
     ):
         rng = np.random.default_rng(data_seed)
         v = rng.uniform(0.3, 1.5, n)
@@ -301,7 +297,6 @@ class TestRansacMatchesReference:
         d[outliers] -= rng.uniform(0.05, 0.3, int(outliers.sum()))
         d = np.maximum(d, 1e-6)
         cfg = RansacConfig(
-            iterations=iterations,
             inlier_threshold=threshold,
             min_inlier_fraction=min_fraction,
             seed=seed,

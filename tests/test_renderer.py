@@ -16,12 +16,11 @@ from depthrefine import (
     UnitQuaternion,
     apply_sigma_to_pose,
     builtin_model,
-    ellipsoid_mesh,
     pixel_support,
-    project,
-    quat_x,
     render_depth,
 )
+from depthrefine.geometry import project, quat_x
+from depthrefine.harness import ellipsoid_mesh
 from helpers import random_quaternion, square_mesh
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
