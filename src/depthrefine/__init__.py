@@ -68,7 +68,6 @@ from .harness import (
     tabletop_scene,
 )
 from .refiner import (
-    RansacConfig,
     RefineConfig,
     RefinementResult,
     refine,
@@ -108,7 +107,6 @@ __all__ = [
     "NumericalError",
     "OccluderSpec",
     "Pose",
-    "RansacConfig",
     "RefineConfig",
     "RefinementResult",
     "SceneSpec",

@@ -31,7 +31,7 @@ from .harness import (
     run_sweep,
     tabletop_scene,
 )
-from .refiner import RansacConfig, RefineConfig, refine
+from .refiner import RefineConfig, refine
 from .renderer import DepthMap, render_depth
 
 
@@ -69,11 +69,8 @@ def cmd_refine(args) -> int:
         real = DepthMap(real.width, real.height, real.data * np.float32(args.depth_scale))
     cfg = RefineConfig(
         bound_fraction=args.bound_fraction,
-        ransac=RansacConfig(
-            inlier_threshold=args.inlier_threshold,
-            min_inlier_fraction=args.min_inlier_fraction,
-            seed=args.seed,
-        ),
+        inlier_threshold=args.inlier_threshold,
+        min_inlier_fraction=args.min_inlier_fraction,
     )
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
     inlier_count = int(np.count_nonzero(result.inlier_mask))
@@ -184,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output result JSON path")
     p.add_argument("--depth-scale", type=float, default=1.0,
                    help="multiply loaded depths by this factor (e.g. 0.001 for mm)")
-    p.add_argument("--bound-fraction", type=float, default=0.8)
-    p.add_argument("--inlier-threshold", type=float, default=0.007)
-    p.add_argument("--min-inlier-fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = RefineConfig()
+    p.add_argument("--bound-fraction", type=float, default=defaults.bound_fraction)
+    p.add_argument("--inlier-threshold", type=float, default=defaults.inlier_threshold)
+    p.add_argument("--min-inlier-fraction", type=float, default=defaults.min_inlier_fraction)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("sample-grasps", help="sample pre-grasp poses on a sphere")

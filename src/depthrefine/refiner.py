@@ -17,7 +17,7 @@ position and the rescaled dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +35,26 @@ from .geometry import (
 )
 from .renderer import DepthMap, TriangleMesh, render_depth
 
-# RANSAC stops once some draw was all inliers with this probability.
-CONFIDENCE = 0.999
-
-
-@dataclass(frozen=True)
-class RansacConfig:
-    """Robust scale-only fit d = mu*d_hat.
-
-    A fit whose consensus is below `min_inlier_fraction` of the pairs is
-    rejected, and that fraction also sets how long the adaptive loop
-    searches before giving up.
-    """
-
-    inlier_threshold: float = 0.007
-    min_inlier_fraction: float = 0.3
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.inlier_threshold > 0.0:
-            raise ValueError("inlier_threshold must be positive")
-        if not 0.0 < self.min_inlier_fraction <= 1.0:
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
-
 
 @dataclass(frozen=True)
 class RefineConfig:
+    """Search bound and robust scale-only fit d = mu*d_hat.
+
+    A fit whose consensus is below `min_inlier_fraction` of the pairs is
+    rejected.
+    """
+
     bound_fraction: float = 0.8
-    ransac: RansacConfig = field(default_factory=RansacConfig)
+    inlier_threshold: float = 0.007
+    min_inlier_fraction: float = 0.3
 
     def __post_init__(self):
         if not 0.0 < self.bound_fraction < 1.0:
             raise ValueError("bound_fraction must be in (0, 1)")
+        if not self.inlier_threshold > 0.0:
+            raise ValueError("inlier_threshold must be positive")
+        if not 0.0 < self.min_inlier_fraction <= 1.0:
+            raise ValueError("min_inlier_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -133,62 +121,45 @@ def objective(
     return value
 
 
-def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RansacConfig) -> np.ndarray:
+def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarray:
     """Fit the scale-only model d = mu*v robustly; return the consenting pairs.
 
     `d` and `v` are paired measured and rendered depths, float64, every
-    `v` positive. One-pair hypotheses mu = d[i]/v[i] are scored by the
-    count of |d - mu*v| <= inlier_threshold until k draws reach
-    ceil(log(1 - CONFIDENCE)/log(1 - w)), the draws that make an
-    all-inlier one likely (Fischler & Bolles, 1981). Here w is the best
-    inlier fraction so far, raised to min_inlier_fraction, so a scene
-    with no consensus of that size gives up as soon as one would have
-    been found; it is also raised to 1/n, since each hypothesis counts
-    its own pair. The best consensus is refit with mu = <d,v>/<v,v>;
-    returns the ascending int64 positions of the pairs within the
-    threshold of that mu. Raises DegenerateSceneError when the best
-    consensus is below min_inlier_fraction. Deterministic for a fixed
-    seed.
+    `v` positive. Maximizes RANSAC's consensus score, the count of
+    |d - mu*v| <= inlier_threshold, exactly rather than by sampling: pair
+    i agrees with mu when mu lies in [(d_i - t)/v_i, (d_i + t)/v_i], so
+    the best mu is the deepest point of n intervals, found by sorting
+    their ends (the 1-D case of maximum consensus; Chin & Suter, 2017).
+    It takes the middle of the first deepest overlap, as an edge would
+    lose, to rounding, the pair that defines it. That consensus is refit
+    with mu = <d,v>/<v,v>; returns the ascending int64 positions of the
+    pairs within the threshold of that mu. Raises DegenerateSceneError
+    when the consensus is below min_inlier_fraction.
     """
     n = len(d)
     if n < 2:
         raise DegenerateSceneError(f"need at least 2 residual samples, got {n}")
 
-    def draws_for(w: float) -> int:
-        return 1 if w >= 1.0 else math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-w))
+    t = cfg.inlier_threshold
+    lo = np.sort((d - t) / v)
+    hi = np.sort((d + t) / v)
+    # Of the k+1 intervals starting at or before lo[k], all but the ends[k]
+    # that end before it contain it. Tied starts undercount all but the
+    # last of them, which argmax then prefers.
+    ends = np.searchsorted(hi, lo, "left")
+    k = int(np.argmax(np.arange(1, n + 1) - ends))
+    best_mu = (lo[k] + hi[ends[k]]) / 2.0
 
-    floor = max(cfg.min_inlier_fraction, 1.0 / n)
-    # The stop never needs more draws than at the floor.
-    draws = np.random.default_rng(cfg.seed).integers(n, size=draws_for(floor))
-
-    # Each hypothesis is scored in one reused buffer: a (draws, n)
-    # broadcast was slower, as its temporaries leave the cache.
-    resid = np.empty(n)
-    hit = np.empty(n, dtype=bool)
-    best_count = 0
-    best_mu = 0.0
-    needed = len(draws)
-    for k, i in enumerate(draws, start=1):
-        mu = d[i] / v[i]
-        np.multiply(v, mu, out=resid)
-        np.subtract(d, resid, out=resid)
-        np.abs(resid, out=resid)
-        count = int(np.count_nonzero(np.less_equal(resid, cfg.inlier_threshold, out=hit)))
-        if count > best_count:
-            best_count, best_mu = count, mu
-            needed = draws_for(max(count / n, floor))
-        if k >= needed:
-            break
-
-    if best_count < math.ceil(cfg.min_inlier_fraction * n):
+    agree = np.abs(d - best_mu * v) <= t
+    count = int(np.count_nonzero(agree))
+    if count < math.ceil(cfg.min_inlier_fraction * n):
         raise DegenerateSceneError(
-            f"best consensus {best_count}/{n} below the minimum fraction "
+            f"best consensus {count}/{n} below the minimum fraction "
             f"{cfg.min_inlier_fraction}"
         )
 
-    agree = np.abs(d - best_mu * v) <= cfg.inlier_threshold
     mu = float(d[agree] @ v[agree]) / float(v[agree] @ v[agree])
-    return np.flatnonzero(np.abs(d - mu * v) <= cfg.inlier_threshold)
+    return np.flatnonzero(np.abs(d - mu * v) <= t)
 
 
 def refine(
@@ -225,7 +196,7 @@ def refine(
         raise NoOverlapError("no pixel is valid in both the render and the measurement")
     d_all = real.data.ravel()[pairs].astype(np.float64)
     v_all = virtual0.data.ravel()[pairs].astype(np.float64)
-    keep = ransac_inliers(d_all, v_all, cfg.ransac)
+    keep = ransac_inliers(d_all, v_all, cfg)
     if keep.size == 0:
         raise NoOverlapError("the inlier set is empty")
     d = d_all[keep]
@@ -254,5 +225,5 @@ def refine(
         rms_residual=math.sqrt(f_opt),
         objective_value=f_opt,
         at_bound=sigma_opt != sigma_star,
-        free_space_fraction=float(np.mean(d_all > mu_opt * v_all + cfg.ransac.inlier_threshold)),
+        free_space_fraction=float(np.mean(d_all > mu_opt * v_all + cfg.inlier_threshold)),
     )

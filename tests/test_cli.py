@@ -344,16 +344,17 @@ class TestInvalidInputs:
         assert exc_info.value.code == 2
 
     def test_ransac_iterations_flag_is_gone(self, workspace):
-        # The RANSAC draw cap follows from --min-inlier-fraction.
+        # The consensus is maximized exactly: no draw count, no seed.
         tmp_path, obj, scene = workspace
         depth = tmp_path / "measured.pfm"
         store_depth(depth, render_fixture_depth())
         out = tmp_path / "result.json"
         argv = ["refine", "--mesh", obj, "--scene", scene, "--depth", str(depth), "--out", str(out)]
-        with pytest.raises(SystemExit) as exc_info:
-            main(argv + ["--ransac-iterations", "10"])
-        assert exc_info.value.code == EXIT_INVALID_INPUT
-        assert not out.exists()
+        for gone in (["--ransac-iterations", "10"], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv + gone)
+            assert exc_info.value.code == EXIT_INVALID_INPUT
+            assert not out.exists()
         assert main(argv) == EXIT_OK
 
 
