@@ -3,9 +3,9 @@
 An RGB-only pose estimator trained on a fixed-size reference model cannot
 tell a small near object from a large far one. This package slides the
 model along the camera ray while rescaling it to keep the image fixed,
-optimizes the single slide parameter so a rendered depth map matches the
-measured one, and reports the corrected position plus the true object
-dimensions. It also samples pre-grasp poses around the corrected position
+fits the slide parameter in closed form from one render so the rendered
+depth map matches the measured one, and reports the corrected position
+plus the true object dimensions. It also samples pre-grasp poses around the corrected position
 and ships a synthetic evaluation harness plus a command-line interface.
 """
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,7 +24,6 @@ from .geometry import UnitQuaternion, transform_point
 from .grasp import GraspSamplingConfig, sample_candidates
 from .harness import (
     DEFAULT_INTRINSICS,
-    DEFAULT_SCALE_LEVELS,
     builtin_model,
     default_sweep,
     generate_scene,
@@ -49,10 +48,16 @@ def _quat(q: UnitQuaternion) -> list[float]:
     return [q.w, q.x, q.y, q.z]
 
 
+def _given(args, *names) -> dict:
+    """The flags among `names` set on the command line. An unset flag is
+    absent from `args`, so the library's own default applies to it."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def cmd_render(args) -> int:
     pose, intr, _, _ = load_scene_config(args.scene)
     mesh = load_mesh(args.mesh)
-    depth = render_depth(mesh, pose, intr, scale=args.scale)
+    depth = render_depth(mesh, pose, intr, **_given(args, "scale"))
     store_depth(args.out, depth)
     valid = int(np.count_nonzero(depth.valid_mask))
     print(f"rendered {depth.width}x{depth.height}, {valid} valid pixels -> {args.out}")
@@ -67,11 +72,7 @@ def cmd_refine(args) -> int:
         if not args.depth_scale > 0.0:
             raise ValueError("--depth-scale must be positive")
         real = DepthMap(real.width, real.height, real.data * np.float32(args.depth_scale))
-    cfg = RefineConfig(
-        bound_fraction=args.bound_fraction,
-        inlier_threshold=args.inlier_threshold,
-        min_inlier_fraction=args.min_inlier_fraction,
-    )
+    cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
     inlier_count = int(np.count_nonzero(result.inlier_mask))
     doc = {
@@ -99,14 +100,10 @@ def cmd_refine(args) -> int:
 
 
 def cmd_sample_grasps(args) -> int:
-    cfg = GraspSamplingConfig(
-        radius=args.radius,
-        alpha_samples=args.alpha_samples,
-        theta_samples=args.theta_samples,
-        theta_max=args.theta_max,
-        approach_alignment=UnitQuaternion(*args.align),
-        table_height=args.table_height,
-    )
+    given = _given(args, "alpha_samples", "theta_samples", "theta_max", "table_height")
+    if "align" in args:
+        given["approach_alignment"] = UnitQuaternion(*args.align)
+    cfg = GraspSamplingConfig(radius=args.radius, **given)
     candidates = sample_candidates(np.array(args.position), cfg)
     doc = [
         {
@@ -122,24 +119,18 @@ def cmd_sample_grasps(args) -> int:
     return EXIT_OK
 
 
-def _scene_kwargs(args) -> dict:
-    """The shared scene flags as `tabletop_scene` keywords."""
-    return {
-        "object_depth": args.object_depth,
-        "mesh_id": args.mesh_id,
-        "occluder_fraction": args.occluder_fraction,
-        "occluder_offset": args.occluder_offset,
-        "depth_noise": args.depth_noise,
-        "shape_noise": args.shape_noise,
-        "seed": args.seed,
-    }
+# The scene flags simulate and eval share, named as `tabletop_scene` keywords.
+SCENE_FLAGS = (
+    "mesh_id", "object_depth", "occluder_fraction", "occluder_offset",
+    "depth_noise", "shape_noise", "seed",
+)
 
 
 def cmd_simulate(args) -> int:
-    spec = tabletop_scene("simulated", args.scale, **_scene_kwargs(args))
+    spec = tabletop_scene("simulated", args.scale, **_given(args, *SCENE_FLAGS))
     real, coarse = generate_scene(spec, DEFAULT_INTRINSICS)
     store_depth(args.out_depth, real)
-    _, cad_dims = builtin_model(args.mesh_id)
+    _, cad_dims = builtin_model(spec.mesh_id)
     store_scene_config(args.out_scene, coarse, DEFAULT_INTRINSICS, cad_dims, spec.camera_pose)
     valid = int(np.count_nonzero(real.valid_mask))
     print(
@@ -150,7 +141,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records, table = run_sweep(default_sweep(args.scales, **_scene_kwargs(args)))
+    records, table = run_sweep(default_sweep(**_given(args, "scales", *SCENE_FLAGS)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for r in records:
@@ -166,61 +157,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="Depth-based refinement of scale-ambiguous pose estimates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An unset flag stays out of the parsed namespace, so the library's own
+    # default applies (see _given). Only --radius, --depth-scale and eval's
+    # --out, which the library leaves open, state a default here.
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("render", help="render a depth map of a posed mesh")
+    p = command("render", help="render a depth map of a posed mesh")
     p.add_argument("--mesh", required=True, help="OBJ mesh path")
     p.add_argument("--scene", required=True, help="scene JSON (pose + intrinsics)")
-    p.add_argument("--scale", type=float, default=1.0, help="uniform mesh scale")
+    p.add_argument("--scale", type=float, help="uniform mesh scale")
     p.add_argument("--out", required=True, help="output PFM path")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("refine", help="refine a coarse pose against a measured depth map")
+    p = command("refine", help="refine a coarse pose against a measured depth map")
     p.add_argument("--mesh", required=True, help="OBJ mesh path")
     p.add_argument("--scene", required=True, help="scene JSON (coarse pose + intrinsics + cad_dims)")
     p.add_argument("--depth", required=True, help="measured depth map (PFM)")
     p.add_argument("--out", required=True, help="output result JSON path")
     p.add_argument("--depth-scale", type=float, default=1.0,
                    help="multiply loaded depths by this factor (e.g. 0.001 for mm)")
-    defaults = RefineConfig()
-    p.add_argument("--bound-fraction", type=float, default=defaults.bound_fraction)
-    p.add_argument("--inlier-threshold", type=float, default=defaults.inlier_threshold)
-    p.add_argument("--min-inlier-fraction", type=float, default=defaults.min_inlier_fraction)
+    p.add_argument("--bound-fraction", type=float)
+    p.add_argument("--inlier-threshold", type=float)
+    p.add_argument("--min-inlier-fraction", type=float)
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("sample-grasps", help="sample pre-grasp poses on a sphere")
+    p = command("sample-grasps", help="sample pre-grasp poses on a sphere")
     p.add_argument("--position", type=float, nargs=3, required=True,
                    metavar=("X", "Y", "Z"), help="refined object position (world frame)")
     p.add_argument("--radius", type=float, default=0.15, help="sphere radius [m]")
-    p.add_argument("--alpha-samples", type=int, default=8)
-    p.add_argument("--theta-samples", type=int, default=4)
-    p.add_argument("--theta-max", type=float, default=math.pi / 3.0)
-    p.add_argument("--align", type=float, nargs=4, default=[1.0, 0.0, 0.0, 0.0],
-                   metavar=("W", "X", "Y", "Z"),
+    p.add_argument("--alpha-samples", type=int)
+    p.add_argument("--theta-samples", type=int)
+    p.add_argument("--theta-max", type=float)
+    p.add_argument("--align", type=float, nargs=4, metavar=("W", "X", "Y", "Z"),
                    help="end-effector alignment quaternion")
-    p.add_argument("--table-height", type=float, default=-math.inf,
-                   help="drop candidates below this world z")
+    p.add_argument("--table-height", type=float, help="drop candidates below this world z")
     p.add_argument("--out", required=True, help="output candidates JSON path")
     p.set_defaults(func=cmd_sample_grasps)
 
-    # The scene flags shared by simulate and eval; _scene_kwargs reads them.
-    scene = argparse.ArgumentParser(add_help=False)
-    scene.add_argument("--mesh-id", default="apple", choices=("apple", "sphere", "cube"))
-    scene.add_argument("--object-depth", type=float, default=0.5)
-    scene.add_argument("--occluder-fraction", type=float, default=0.0)
-    scene.add_argument("--occluder-offset", type=float, default=0.1)
-    scene.add_argument("--depth-noise", type=float, default=0.0)
-    scene.add_argument("--shape-noise", type=float, default=0.0)
-    scene.add_argument("--seed", type=int, default=0)
+    # The SCENE_FLAGS, declared once for simulate and eval.
+    scene = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    scene.add_argument("--mesh-id", choices=("apple", "sphere", "cube"))
+    scene.add_argument("--object-depth", type=float)
+    scene.add_argument("--occluder-fraction", type=float)
+    scene.add_argument("--occluder-offset", type=float)
+    scene.add_argument("--depth-noise", type=float)
+    scene.add_argument("--shape-noise", type=float)
+    scene.add_argument("--seed", type=int)
 
-    p = sub.add_parser("simulate", parents=[scene],
-                       help="generate a synthetic scene + coarse estimate")
+    p = command("simulate", parents=[scene], help="generate a synthetic scene + coarse estimate")
     p.add_argument("--scale", type=float, required=True, help="true object scale")
     p.add_argument("--out-depth", required=True, help="output PFM path")
     p.add_argument("--out-scene", required=True, help="output scene JSON path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", parents=[scene], help="run the synthetic evaluation sweep")
-    p.add_argument("--scales", type=float, nargs="+", default=list(DEFAULT_SCALE_LEVELS))
+    p = command("eval", parents=[scene], help="run the synthetic evaluation sweep")
+    p.add_argument("--scales", type=float, nargs="+")
     p.add_argument("--out", default="", help="optional line-delimited JSON records path")
     p.set_defaults(func=cmd_eval)
 

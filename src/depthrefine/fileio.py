@@ -166,11 +166,13 @@ def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def store_mesh(path, mesh: TriangleMesh) -> None:
     """Write a mesh as an ASCII OBJ file (v and f records, 1-based indices)."""
+    # tolist() hands the f-strings Python floats and ints, which format
+    # faster than numpy scalars and to the same text.
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        for x, y, z in mesh.vertices.tolist():
+            fh.write(f"v {x:.12g} {y:.12g} {z:.12g}\n")
+        for a, b, c in (mesh.triangles + 1).tolist():
+            fh.write(f"f {a} {b} {c}\n")
 
 
 def store_depth(path, depth: DepthMap) -> None:

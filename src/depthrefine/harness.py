@@ -26,7 +26,7 @@ from .geometry import (
     quat_x,
     transform_point,
 )
-from .refiner import RefineConfig, refine
+from .refiner import refine
 from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
@@ -310,21 +310,18 @@ def default_sweep(scales=DEFAULT_SCALE_LEVELS, seed: int = 0, **scene) -> list[S
     ]
 
 
-def run_sweep(
-    specs: list[SceneSpec],
-    intr: CameraIntrinsics = DEFAULT_INTRINSICS,
-    cfg: RefineConfig | None = None,
-) -> tuple[list[EvalRecord], str]:
-    """Evaluate refinement over the scenes; failures are recorded, not raised."""
+def run_sweep(specs: list[SceneSpec]) -> tuple[list[EvalRecord], str]:
+    """Evaluate refinement with the default intrinsics and `RefineConfig`
+    over the scenes; failures are recorded, not raised."""
     if not specs:
         raise ValueError("specs must be non-empty")
     records: list[EvalRecord] = []
     for spec in specs:
-        real, coarse = generate_scene(spec, intr)
+        real, coarse = generate_scene(spec)
         mesh, cad_dims = builtin_model(spec.mesh_id)
         true_dims = cad_dims.scaled(spec.true_scale)
         try:
-            result = refine(coarse, mesh, cad_dims, intr, real, cfg)
+            result = refine(coarse, mesh, cad_dims, DEFAULT_INTRINSICS, real)
         except DepthRefineError:
             records.append(EvalRecord(spec.scene_id, None, None, None, False))
             continue

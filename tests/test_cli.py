@@ -31,12 +31,19 @@ from depthrefine import (
     NoOverlapError,
     NumericalError,
     Pose,
+    RefineConfig,
     UnitQuaternion,
+    default_sweep,
+    generate_scene,
     load_depth,
+    load_mesh,
     load_scene_config,
+    refine,
     render_depth,
+    run_sweep,
     sample_candidates,
     store_depth,
+    tabletop_scene,
     transform_point,
 )
 from depthrefine.cli import main
@@ -520,6 +527,53 @@ class TestSimulateAndEval:
         assert main(argv + flags) == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
+
+
+class TestLibraryDefaults:
+    """A command run with no optional flag gives what the library gives
+    with its own defaults: the CLI restates none of them."""
+
+    def test_render_uses_render_depth_default_scale(self, workspace):
+        tmp_path, obj, scene = workspace
+        out = tmp_path / "depth.pfm"
+        assert main(["render", "--mesh", obj, "--scene", scene, "--out", str(out)]) == EXIT_OK
+        pose, intr, _, _ = load_scene_config(scene)
+        expected = render_depth(load_mesh(obj), pose, intr)
+        assert np.array_equal(load_depth(out).data, expected.data)
+
+    def test_refine_uses_default_refine_config(self, tmp_path):
+        # Depth noise of about half the inlier threshold, so the inlier
+        # count follows the threshold.
+        depth, scene, obj, out = (tmp_path / n for n in ("s.pfm", "s.json", "a.obj", "r.json"))
+        assert main(["simulate", "--scale", "0.8", "--depth-noise", "0.004", "--seed", "1",
+                     "--out-depth", str(depth), "--out-scene", str(scene)]) == EXIT_OK
+        write_obj(obj, builtin_model("apple")[0])
+        rc = main(["refine", "--mesh", str(obj), "--scene", str(scene),
+                   "--depth", str(depth), "--out", str(out)])
+        assert rc == EXIT_OK
+        pose, intr, _, cad_dims = load_scene_config(scene)
+        real = load_depth(depth)
+        result = refine(pose, load_mesh(obj), cad_dims, intr, real, RefineConfig())
+        doc = json.loads(out.read_text())
+        assert doc["mu_opt"] == result.mu_opt
+        assert doc["inlier_count"] == np.count_nonzero(result.inlier_mask)
+        assert 0 < doc["inlier_count"] < np.count_nonzero(real.valid_mask)
+
+    def test_simulate_uses_tabletop_scene_defaults(self, tmp_path):
+        out = tmp_path / "scene.pfm"
+        rc = main(["simulate", "--scale", "0.8", "--out-depth", str(out),
+                   "--out-scene", str(tmp_path / "scene.json")])
+        assert rc == EXIT_OK
+        expected = tmp_path / "expected.pfm"
+        store_depth(expected, generate_scene(tabletop_scene("simulated", 0.8))[0])
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_eval_uses_default_sweep(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        assert main(["eval", "--out", str(out)]) == EXIT_OK
+        records, _ = run_sweep(default_sweep())
+        expected = [json.dumps(dataclasses.asdict(r)) for r in records]
+        assert out.read_text().splitlines() == expected
 
 
 class TestExitCodeMapping:

@@ -107,6 +107,20 @@ class TestLoadMesh:
         assert np.allclose(mesh.vertices, original.vertices, atol=1e-12)
         assert np.array_equal(mesh.triangles, original.triangles)
 
+    def test_store_mesh_layout(self, tmp_path):
+        # The bulk reader accepts exactly this layout: `v` lines at 12
+        # significant digits, then 1-based `f` lines, single spaces, LF ends.
+        path = tmp_path / "tri.obj"
+        verts = np.array([[1.0 / 3.0, -2.5e-7, 0.0], [1e12, 1.0, 2.0], [0.1, 0.2, 123456.789]])
+        store_mesh(path, TriangleMesh(verts, np.array([[0, 1, 2], [2, 1, 0]])))
+        assert path.read_bytes() == (
+            b"v 0.333333333333 -2.5e-07 0\n"
+            b"v 1e+12 1 2\n"
+            b"v 0.1 0.2 123456.789\n"
+            b"f 1 2 3\n"
+            b"f 3 2 1\n"
+        )
+
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
