@@ -58,25 +58,6 @@ class GraspCandidate:
         object.__setattr__(self, "position", as_vec3(self.position))
 
 
-def candidate_position(
-    center, radius: float, alpha: float, theta: float
-) -> np.ndarray:
-    """Point on the sphere: center + r*(sin(t)sin(a), sin(t)cos(a), cos(t))."""
-    st = math.sin(theta)
-    offset = np.array(
-        [st * math.sin(alpha), st * math.cos(alpha), math.cos(theta)],
-        dtype=np.float64,
-    )
-    return as_vec3(center) + radius * offset
-
-
-def candidate_orientation(
-    align: UnitQuaternion, alpha: float, theta: float
-) -> UnitQuaternion:
-    """Compose align * Rz(alpha) * Ry(theta) as quaternions."""
-    return quat_mul(quat_mul(align, quat_z(alpha)), quat_y(theta))
-
-
 def sample_candidates(
     refined_position, cfg: GraspSamplingConfig
 ) -> list[GraspCandidate]:
@@ -94,22 +75,24 @@ def sample_candidates(
         thetas = [k * step for k in range(cfg.theta_samples)]
     alphas = [k * (2.0 * math.pi / cfg.alpha_samples) for k in range(cfg.alpha_samples)]
 
-    out: list[GraspCandidate] = []
-    for theta in thetas:
-        for alpha in alphas:
-            pos = candidate_position(center, cfg.radius, alpha, theta)
-            if pos[2] < cfg.table_height:
-                continue
-            out.append(
-                GraspCandidate(
-                    position=pos,
-                    orientation=candidate_orientation(
-                        cfg.approach_alignment, alpha, theta
-                    ),
-                    alpha=alpha,
-                    theta=theta,
-                )
-            )
+    # Candidate (i, j) sits at center + r*(sin(t)sin(a), sin(t)cos(a), cos(t))
+    # for t = thetas[i], a = alphas[j]. `math.sin`/`math.cos` give the values
+    # of that formula on scalars; `np.sin` can differ in the last bit.
+    st, ct = (np.array([f(t) for t in thetas]) for f in (math.sin, math.cos))
+    sa, ca = (np.array([f(a) for a in alphas]) for f in (math.sin, math.cos))
+    offsets = np.stack((np.outer(st, sa), np.outer(st, ca), np.outer(ct, np.ones_like(sa))), -1)
+    positions = center + cfg.radius * offsets
+    # Orientation align * Rz(alpha) * Ry(theta): both factors are built once
+    # per angle, then one product per candidate.
+    azimuths = [quat_mul(cfg.approach_alignment, quat_z(a)) for a in alphas]
+    polars = [quat_y(t) for t in thetas]
+
+    out = [
+        GraspCandidate(positions[i, j], quat_mul(azimuths[j], polars[i]), alpha, theta)
+        for i, theta in enumerate(thetas)
+        for j, alpha in enumerate(alphas)
+        if not positions[i, j, 2] < cfg.table_height
+    ]
     if not out:
         raise NoFeasibleCandidateError(
             "every candidate lies below the table height"

@@ -2,10 +2,19 @@
 
 Renders the z-buffered depth map of a posed, uniformly scaled triangle
 mesh through a pinhole camera. Coverage rule: a pixel belongs to a
-triangle when its center lies inside the projected triangle, with the
-top-left convention breaking ties on shared edges. Depth is
-perspective-correct (1/z interpolated barycentrically in screen space).
-No back-face culling; the z-buffer alone resolves visibility.
+triangle when its center lies inside the projected triangle, by Pineda's
+edge-function test with the top-left convention breaking ties on shared
+edges. Depth is perspective-correct (1/z interpolated barycentrically in
+screen space). No back-face culling; the z-buffer alone resolves
+visibility.
+
+Fragments are expanded in two levels: the rows of each triangle's
+pixel-center box, then the columns of each row, by `np.repeat` over the
+triangles in order. The part of an edge function that depends only on the
+row is computed once per row. Per-triangle corner data is kept as
+C-ordered (3, T) arrays: gathering through a plain `triangles.T` gives
+F-ordered ones, on which every reduction over the corners is several times
+slower.
 """
 
 from __future__ import annotations
@@ -20,8 +29,6 @@ from .geometry import CameraIntrinsics, Pose, quat_to_matrix
 # Triangles with any vertex closer than this are dropped whole rather than
 # clipped; refinement operates far from the near plane.
 NEAR_PLANE = 1e-4
-
-INVALID_DEPTH = 0.0
 
 # Pixel (row i, col j) has its center at (u, v) = (j + 0.5, i + 0.5).
 PIXEL_CENTER_OFFSET = 0.5
@@ -106,32 +113,26 @@ def render_depth(
     w, h = intr.width, intr.height
 
     rot = quat_to_matrix(pose.orientation)
-    verts = pose.position + scale * (mesh.vertices @ rot.T)
+    vx, vy, vz = (pose.position + scale * (mesh.vertices @ rot.T)).T
 
-    # Drop near-plane triangles before projecting, so nothing divides by z <= 0.
-    tri = mesh.triangles
-    tri = tri[verts[:, 2][tri].min(axis=1) >= NEAR_PLANE]
+    # Drop near-plane triangles, and divide by z only at vertices past the
+    # plane, so nothing divides by z <= 0.
+    front = vz >= NEAR_PLANE
+    tri = np.ascontiguousarray(mesh.triangles.T)
+    if not front.all():
+        tri = tri.take(np.flatnonzero(front[tri[0]] & front[tri[1]] & front[tri[2]]), axis=1)
 
-    # Screen coordinates as (3, T) arrays: corner along axis 0, triangle along
-    # axis 1, each row contiguous. Later gathers and filters go row by row
-    # (`x[i][t]`, `np.compress`); fancy indexing along axis 1 was about 4x slower.
-    x, y, z = verts.T[:, tri.T]
-    x = intr.fx * x / z + intr.cx
-    y = intr.fy * y / z + intr.cy
+    def over_z(a):
+        return np.divide(a, vz, out=np.zeros_like(vz), where=front)
 
-    # Force positive orientation (counter-clockwise with v down) by swapping
-    # corners 1 and 2; windings may be inconsistent in CAD meshes. Building new
-    # arrays frees the gathered (3, 3, T) block.
-    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
-    flip = area2 < 0.0
-    x, y, z = (
-        np.stack((a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2])))
-        for a in (x, y, z)
-    )
-    area2 = np.abs(area2)
+    # Project each vertex once, then gather (3, T) corner arrays.
+    x = (over_z(intr.fx * vx) + intr.cx)[tri]
+    y = (over_z(intr.fy * vy) + intr.cy)[tri]
 
-    # Pixel-center bounding boxes, clipped to the viewport.
+    # Pixel-center bounding boxes, clipped to the viewport. Neither the box
+    # nor |area2| depends on the corner order, so culling comes first.
     c = PIXEL_CENTER_OFFSET
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     x_lo, x_hi = x.min(axis=0), x.max(axis=0)
     y_lo, y_hi = y.min(axis=0), y.max(axis=0)
     px_lo = np.clip(np.ceil(x_lo - c), 0, w - 1).astype(np.int64)
@@ -143,49 +144,63 @@ def render_depth(
 
     # One candidate filter: degenerate triangles, boxes holding no pixel center
     # (sliver-thin), and triangles wholly off screen, whose clipped boxes land
-    # on the border column or row.
-    on = (
-        (area2 > 0.0) & (bw > 0) & (bh > 0)
+    # on the border column or row. `take` is several times faster than a
+    # boolean mask here.
+    on = np.flatnonzero(
+        (area2 != 0.0) & (bw > 0) & (bh > 0)
         & (x_hi >= c) & (x_lo <= w - c) & (y_hi >= c) & (y_lo <= h - c)
     )
-    x, y, z = (np.compress(on, a, axis=1) for a in (x, y, z))
-    area2, px_lo, py_lo, bw, bh = (a[on] for a in (area2, px_lo, py_lo, bw, bh))
+    x, y, tri = (a.take(on, axis=1) for a in (x, y, tri))
+    area2, px_lo, py_lo, bw, bh = (a.take(on) for a in (area2, px_lo, py_lo, bw, bh))
 
-    # One fragment per pixel center in each box; t is the fragment's triangle.
+    # Force positive orientation (counter-clockwise with v down) by swapping
+    # corners 1 and 2; windings may be inconsistent in CAD meshes.
+    flip = area2 < 0.0
+    area2 = np.abs(area2)
+    x, y, tri = (
+        (a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2]))
+        for a in (x, y, tri)
+    )
+
+    # Rows of each box, then one fragment per pixel center of each row: py
+    # counts up from each box's top row, px from each row's first column.
     counts = bw * bh
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    t = np.repeat(np.arange(counts.shape[0]), counts)
-    k = np.arange(int(counts.sum())) - starts[t]
-    px = px_lo[t] + k % bw[t]
-    py = py_lo[t] + k // bw[t]
-    cu = px + c
+    py = np.arange(int(bh.sum())) + np.repeat(py_lo - (np.cumsum(bh) - bh), bh)
+    cw = np.repeat(bw, bh)
+    px = np.arange(int(cw.sum())) + np.repeat(np.repeat(px_lo, bh) - (np.cumsum(cw) - cw), cw)
     cv = py + c
+    cu = px + c
 
     # Edge functions with the top-left fill rule: with v down and positive
     # orientation, a "top" edge runs rightward at constant v, a "left" edge
-    # runs upward.
-    inside = np.ones(t.shape[0], dtype=bool)
+    # runs upward. `e >= thr`, with thr the smallest positive double off
+    # top-left edges, is `(e > 0) | ((e == 0) & top_left)` in one comparison.
+    tiny = np.nextafter(0.0, 1.0)
+    inside = np.ones(px.shape[0], dtype=bool)
     edges = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         dx, dy = x[j] - x[i], y[j] - y[i]
-        e = dx[t] * (cv - y[i][t]) - dy[t] * (cu - x[i][t])
-        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
-        inside &= (e > 0.0) | ((e == 0.0) & top_left[t])
+        row = np.repeat(dx, bh) * (cv - np.repeat(y[i], bh))
+        e = np.repeat(row, cw) - np.repeat(dy, counts) * (cu - np.repeat(x[i], counts))
+        thr = np.where(((dy == 0.0) & (dx > 0.0)) | (dy < 0.0), 0.0, tiny)
+        inside &= e >= np.repeat(thr, counts)
         edges.append(e)
-    e01, e12, e20 = (e[inside] for e in edges)
+    keep = np.flatnonzero(inside)
+    e01, e12, e20 = (e.take(keep) for e in edges)
 
     # Screen barycentrics weight the opposite corner; interpolating 1/z is
     # exact for planar triangles.
-    t = t[inside]
-    rz = 1.0 / z
-    inv_z = (e12 * rz[0][t] + e20 * rz[1][t] + e01 * rz[2][t]) / area2[t]
-    flat = py[inside] * w + px[inside]
+    t = np.repeat(np.arange(counts.shape[0]), counts).take(keep)
+    rz = over_z(1.0)
+    inv_z = (e12 * rz[tri[0]][t] + e20 * rz[tri[1]][t] + e01 * rz[tri[2]][t]) / area2[t]
+    flat = (np.repeat(py * w, cw) + px).take(keep)
 
     # Rounding to float32 is monotone, so taking the minimum after rounding
-    # stores the same value as rounding the float64 minimum.
-    zbuf = np.full(w * h, np.inf, dtype=np.float32)
+    # stores the same value as rounding the float64 minimum. Uncovered pixels
+    # keep 0.0, the invalid depth; only covered ones start from +inf.
+    zbuf = np.zeros(w * h, dtype=np.float32)
+    zbuf[flat] = np.inf
     np.minimum.at(zbuf, flat, (1.0 / inv_z).astype(np.float32))
-    zbuf[zbuf == np.inf] = INVALID_DEPTH
     return DepthMap(w, h, zbuf.reshape(h, w))
 
 

@@ -1,8 +1,12 @@
 """Shared fixtures-as-functions for the test suite."""
 
+import math
+
 import numpy as np
 
-from depthrefine import TriangleMesh, UnitQuaternion, store_mesh
+from depthrefine import DepthMap, TriangleMesh, UnitQuaternion, store_mesh
+from depthrefine.geometry import as_vec3, quat_mul, quat_to_matrix, quat_y, quat_z
+from depthrefine.renderer import NEAR_PLANE, PIXEL_CENTER_OFFSET
 
 
 def square_mesh(half: float = 0.1) -> TriangleMesh:
@@ -22,3 +26,90 @@ def random_quaternion(rng: np.random.Generator) -> UnitQuaternion:
 
 def write_obj(path, mesh: TriangleMesh) -> None:
     store_mesh(path, mesh)
+
+
+def reference_render_depth(mesh, pose, intr, scale: float = 1.0) -> DepthMap:
+    """Bounding-box rasterizer that `render_depth` must match byte for byte.
+
+    Every triangle is gathered as (3, T) corner arrays, re-oriented, and
+    expanded to one fragment per pixel center of its clipped box; a fragment
+    is kept when all three edge functions pass the top-left rule written
+    out as `(e > 0) | ((e == 0) & top_left)`.
+    """
+    w, h = intr.width, intr.height
+    rot = quat_to_matrix(pose.orientation)
+    verts = pose.position + scale * (mesh.vertices @ rot.T)
+
+    tri = mesh.triangles
+    tri = tri[verts[:, 2][tri].min(axis=1) >= NEAR_PLANE]
+    x, y, z = verts.T[:, tri.T]
+    x = intr.fx * x / z + intr.cx
+    y = intr.fy * y / z + intr.cy
+
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    flip = area2 < 0.0
+    x, y, z = (
+        np.stack((a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2])))
+        for a in (x, y, z)
+    )
+    area2 = np.abs(area2)
+
+    c = PIXEL_CENTER_OFFSET
+    x_lo, x_hi = x.min(axis=0), x.max(axis=0)
+    y_lo, y_hi = y.min(axis=0), y.max(axis=0)
+    px_lo = np.clip(np.ceil(x_lo - c), 0, w - 1).astype(np.int64)
+    px_hi = np.clip(np.floor(x_hi - c), 0, w - 1).astype(np.int64)
+    py_lo = np.clip(np.ceil(y_lo - c), 0, h - 1).astype(np.int64)
+    py_hi = np.clip(np.floor(y_hi - c), 0, h - 1).astype(np.int64)
+    bw = px_hi - px_lo + 1
+    bh = py_hi - py_lo + 1
+    on = (
+        (area2 > 0.0) & (bw > 0) & (bh > 0)
+        & (x_hi >= c) & (x_lo <= w - c) & (y_hi >= c) & (y_lo <= h - c)
+    )
+    x, y, z = (np.compress(on, a, axis=1) for a in (x, y, z))
+    area2, px_lo, py_lo, bw, bh = (a[on] for a in (area2, px_lo, py_lo, bw, bh))
+
+    counts = bw * bh
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    t = np.repeat(np.arange(counts.shape[0]), counts)
+    k = np.arange(int(counts.sum())) - starts[t]
+    px = px_lo[t] + k % bw[t]
+    py = py_lo[t] + k // bw[t]
+    cu = px + c
+    cv = py + c
+
+    inside = np.ones(t.shape[0], dtype=bool)
+    edges = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        e = dx[t] * (cv - y[i][t]) - dy[t] * (cu - x[i][t])
+        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
+        inside &= (e > 0.0) | ((e == 0.0) & top_left[t])
+        edges.append(e)
+    e01, e12, e20 = (e[inside] for e in edges)
+
+    t = t[inside]
+    rz = 1.0 / z
+    inv_z = (e12 * rz[0][t] + e20 * rz[1][t] + e01 * rz[2][t]) / area2[t]
+    flat = py[inside] * w + px[inside]
+
+    zbuf = np.full(w * h, np.inf, dtype=np.float32)
+    np.minimum.at(zbuf, flat, (1.0 / inv_z).astype(np.float32))
+    zbuf[zbuf == np.inf] = 0.0
+    return DepthMap(w, h, zbuf.reshape(h, w))
+
+
+def candidate_position(center, radius: float, alpha: float, theta: float) -> np.ndarray:
+    """One grid point: center + r*(sin(t)sin(a), sin(t)cos(a), cos(t))."""
+    st = math.sin(theta)
+    offset = np.array(
+        [st * math.sin(alpha), st * math.cos(alpha), math.cos(theta)],
+        dtype=np.float64,
+    )
+    return as_vec3(center) + radius * offset
+
+
+def candidate_orientation(align: UnitQuaternion, alpha: float, theta: float) -> UnitQuaternion:
+    """One grid orientation: align * Rz(alpha) * Ry(theta) as quaternions."""
+    return quat_mul(quat_mul(align, quat_z(alpha)), quat_y(theta))

@@ -32,11 +32,10 @@ from depthrefine import (
     transform_point,
 )
 from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
-from depthrefine.grasp import candidate_orientation
 from depthrefine.harness import leftmost_region
 from depthrefine.refiner import residual_samples
 
-from helpers import random_quaternion
+from helpers import candidate_orientation, random_quaternion
 
 # Scale ratios exercised by the recovery criteria: the spread between the
 # smallest and largest real fruit relative to the reference model.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrefine import (
     GraspSamplingConfig,
@@ -12,8 +14,7 @@ from depthrefine import (
     sample_candidates,
 )
 from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
-from depthrefine.grasp import candidate_orientation, candidate_position
-from helpers import random_quaternion
+from helpers import candidate_orientation, candidate_position, random_quaternion
 
 CENTER = np.array([0.1, -0.2, 0.45])
 
@@ -127,3 +128,46 @@ class TestSampleCandidates:
         for c in sample_candidates(CENTER, cfg):
             want = quat_to_matrix(align) @ quat_to_matrix(quat_z(c.alpha)) @ quat_to_matrix(quat_y(c.theta))
             assert np.abs(quat_to_matrix(c.orientation) - want).max() < 1e-9
+
+
+class TestBulkGridOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha_samples=st.integers(1, 12),
+        theta_samples=st.integers(1, 6),
+        theta_max=st.floats(1e-3, math.pi),
+        table_offset=st.one_of(st.just(-math.inf), st.floats(-0.3, 0.3)),
+    )
+    def test_grid_equals_per_candidate_chain(
+        self, seed, alpha_samples, theta_samples, theta_max, table_offset
+    ):
+        # The bulk grid must give every value of the one-candidate-at-a-time
+        # chain exactly, with the same filter and the same empty-grid error.
+        rng = np.random.default_rng(seed)
+        center = rng.normal(scale=0.5, size=3)
+        cfg = GraspSamplingConfig(
+            radius=float(rng.uniform(0.01, 0.3)),
+            alpha_samples=alpha_samples,
+            theta_samples=theta_samples,
+            theta_max=theta_max,
+            approach_alignment=random_quaternion(rng),
+            table_height=float(center[2]) + table_offset,
+        )
+        step = 0.0 if theta_samples == 1 else theta_max / (theta_samples - 1)
+        want = []
+        for theta in [k * step for k in range(theta_samples)]:
+            for alpha in [k * (2.0 * math.pi / alpha_samples) for k in range(alpha_samples)]:
+                pos = candidate_position(center, cfg.radius, alpha, theta)
+                if not pos[2] < cfg.table_height:
+                    q = candidate_orientation(cfg.approach_alignment, alpha, theta)
+                    want.append((pos.tobytes(), q.as_array().tobytes(), alpha, theta))
+        if not want:
+            with pytest.raises(NoFeasibleCandidateError):
+                sample_candidates(center, cfg)
+            return
+        got = [
+            (c.position.tobytes(), c.orientation.as_array().tobytes(), c.alpha, c.theta)
+            for c in sample_candidates(center, cfg)
+        ]
+        assert got == want

@@ -1,6 +1,7 @@
 """Software depth rasterizer: coverage, perspective-correct depth, z-buffer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from depthrefine import (
     render_depth,
 )
 from depthrefine.geometry import project, quat_x
-from depthrefine.harness import ellipsoid_mesh
-from helpers import random_quaternion, square_mesh
+from depthrefine.harness import default_sweep, ellipsoid_mesh, generate_scene
+from helpers import random_quaternion, reference_render_depth, square_mesh
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -350,6 +351,65 @@ class TestWatertightness:
         dot1 = (c[0] - p1[0]) * (p0[0] - p1[0]) + (c[1] - p1[1]) * (p0[1] - p1[1])
         on_edge = (orient2(p0, p1, c) == 0) & (dot0 > 0) & (dot1 > 0)
         assert (a | b)[on_edge].all()
+
+
+def render_oracle_bytes(mesh, pose, intr, scale=1.0) -> DepthMap:
+    """`render_depth`, checked byte for byte against `reference_render_depth`,
+    which expands every box pixel by pixel with the same float64 operations
+    on the same operands."""
+    got = render_depth(mesh, pose, intr, scale)
+    assert got.data.tobytes() == reference_render_depth(mesh, pose, intr, scale).data.tobytes()
+    return got
+
+
+class TestReferenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(soup_scenes)
+    def test_soup_renders_oracle_bytes(self, p):
+        _, mesh, pose, intr, scale = soup_scene(p)
+        render_oracle_bytes(mesh, pose, intr, scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(grid_points, st.sampled_from([1.0, 2.0, 4.0])), min_size=3, max_size=8
+        ),
+        picks=st.lists(st.tuples(*[st.integers(0, 7)] * 3), min_size=1, max_size=12),
+    )
+    def test_lattice_ties_render_oracle_bytes(self, points, picks):
+        # Corners on the half-pixel lattice put pixel centers exactly on
+        # edges, where only the top-left rule decides coverage.
+        verts = np.array([
+            [(u / 2 - GRID.cx) * z / GRID.fx, (v / 2 - GRID.cy) * z / GRID.fy, z]
+            for (u, v), z in points
+        ])
+        mesh = TriangleMesh(verts, np.array(picks) % len(points))
+        render_oracle_bytes(mesh, Pose(np.zeros(3), UnitQuaternion.identity()), GRID)
+
+    def test_tabletop_scenes_render_oracle_bytes(self):
+        # Full 640x480 frames: the apple at each scene's true pose and scale,
+        # and at the coarse pose the refiner renders.
+        mesh, _ = builtin_model("apple")
+        for spec in default_sweep(depth_noise=0.002, seed=1):
+            _, coarse = generate_scene(spec, INTR)
+            for pose, scale in ((spec.true_pose, spec.true_scale), (coarse, 1.0)):
+                assert render_oracle_bytes(mesh, pose, INTR, scale).valid_mask.sum() > 1000
+
+    def test_vertices_at_or_behind_camera_raise_no_warning(self):
+        # Vertices exactly at z = 0, behind the camera and inside the near
+        # plane are used only by triangles that are dropped; the projection
+        # must not divide by them.
+        sq = square_mesh(0.05)
+        verts = np.vstack([
+            sq.vertices + [0.0, 0.0, 0.6],
+            [[0.0, 0.0, 0.0], [0.1, 0.0, -0.3], [0.0, 0.1, 5e-5], [-0.1, 0.0, 0.0]],
+        ])
+        tris = np.vstack([sq.triangles, [[0, 1, 4], [1, 2, 5], [2, 4, 6], [4, 5, 7]]])
+        mesh = TriangleMesh(verts, tris)
+        pose = Pose(np.zeros(3), UnitQuaternion.identity())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert render_oracle_bytes(mesh, pose, INTR).valid_mask.sum() > 100
 
 
 class TestDeterminism:
