@@ -19,7 +19,9 @@ import sys
 import numpy as np
 
 from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError
-from .fileio import load_depth, load_mesh, load_scene_config, store_depth, store_scene_config
+from .fileio import (
+    load_depth, load_mesh, load_scene_config, store_depth, store_scene_config, write_json,
+)
 from .geometry import UnitQuaternion, transform_point
 from .grasp import GraspSamplingConfig, sample_candidates
 from .harness import (
@@ -32,12 +34,6 @@ from .harness import (
 )
 from .refiner import RefineConfig, refine
 from .renderer import DepthMap, render_depth
-
-
-def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _vec(arr) -> list[float]:
@@ -83,7 +79,6 @@ def cmd_refine(args) -> int:
         "estimated_dims": _vec(result.estimated_dims.as_array()),
         "inlier_count": inlier_count,
         "rms_residual": result.rms_residual,
-        "objective_value": result.objective_value,
         "mu_at_bound": result.at_bound,
         "free_space_fraction": result.free_space_fraction,
     }
@@ -91,7 +86,7 @@ def cmd_refine(args) -> int:
         doc["refined_position_world"] = _vec(
             transform_point(extrinsics, result.refined_pose.position)
         )
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(
         f"sigma_opt={result.sigma_opt:+.4f} m, mu_opt={result.mu_opt:.4f}, "
         f"{inlier_count} inliers, rms={result.rms_residual:.4f} m -> {args.out}"
@@ -114,7 +109,7 @@ def cmd_sample_grasps(args) -> int:
         }
         for c in candidates
     ]
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(f"{len(candidates)} grasp candidates -> {args.out}")
     return EXIT_OK
 

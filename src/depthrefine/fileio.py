@@ -279,6 +279,13 @@ def _pose_doc(pose: Pose) -> dict:
     return {"position": [float(x) for x in pose.position], "orientation": [q.w, q.x, q.y, q.z]}
 
 
+def write_json(path, doc) -> None:
+    """Write `doc` as 2-space-indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def store_scene_config(
     path, pose: Pose, intr: CameraIntrinsics, dims: CuboidDims, extrinsics: Pose | None = None
 ) -> None:
@@ -295,9 +302,7 @@ def store_scene_config(
     }
     if extrinsics is not None:
         doc["world_T_camera"] = _pose_doc(extrinsics)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, CuboidDims]:

@@ -49,33 +49,27 @@ def ellipsoid_mesh(radii, rings: int = 16, segments: int = 24) -> TriangleMesh:
         raise ValueError("radii must be positive")
     if rings < 2 or segments < 3:
         raise ValueError("need rings >= 2 and segments >= 3")
-    verts = [(0.0, 0.0, 1.0)]
-    for k in range(1, rings):
-        theta = math.pi * k / rings
-        st, ct = math.sin(theta), math.cos(theta)
-        for m in range(segments):
-            phi = 2.0 * math.pi * m / segments
-            verts.append((st * math.cos(phi), st * math.sin(phi), ct))
-    verts.append((0.0, 0.0, -1.0))
-    bottom = len(verts) - 1
+    theta = [math.pi * k / rings for k in range(1, rings)]
+    phi = [2.0 * math.pi * m / segments for m in range(segments)]
+    st = [math.sin(t) for t in theta]
+    ring_xyz = np.stack([
+        np.outer(st, [math.cos(p) for p in phi]),
+        np.outer(st, [math.sin(p) for p in phi]),
+        np.outer([math.cos(t) for t in theta], np.ones(segments)),
+    ], axis=-1)
+    verts = np.vstack([(0.0, 0.0, 1.0), ring_xyz.reshape(-1, 3), (0.0, 0.0, -1.0)])
 
-    def ring(k: int, m: int) -> int:
-        return 1 + (k - 1) * segments + (m % segments)
-
-    tris = []
-    for m in range(segments):
-        tris.append((0, ring(1, m), ring(1, m + 1)))
-    for k in range(1, rings - 1):
-        for m in range(segments):
-            a, b = ring(k, m), ring(k, m + 1)
-            c, d = ring(k + 1, m), ring(k + 1, m + 1)
-            tris.append((a, c, d))
-            tris.append((a, d, b))
-    for m in range(segments):
-        tris.append((bottom, ring(rings - 1, m + 1), ring(rings - 1, m)))
-
-    scaled = np.array(verts, dtype=np.float64) * np.array([rx, ry, rz])
-    return TriangleMesh(scaled, np.array(tris, dtype=np.int64))
+    # a[r, m] is vertex m of ring r (north to south), b[r, m] its successor
+    # in the ring. Caps fan from the poles; each band quad splits in two.
+    m = np.arange(segments)
+    first = 1 + segments * np.arange(rings - 1)[:, None]
+    a, b = first + m, first + (m + 1) % segments
+    tris = np.concatenate([
+        np.stack([np.zeros_like(m), a[0], b[0]], axis=-1),
+        np.stack([a[:-1], a[1:], b[1:], a[:-1], b[1:], b[:-1]], axis=-1).reshape(-1, 3),
+        np.stack([np.full_like(m, len(verts) - 1), b[-1], a[-1]], axis=-1),
+    ])
+    return TriangleMesh(verts * np.array([rx, ry, rz]), tris)
 
 
 def cuboid_mesh(dims: CuboidDims) -> TriangleMesh:

@@ -65,7 +65,6 @@ class RefinementResult:
     estimated_dims: CuboidDims
     inlier_mask: np.ndarray  # read-only boolean (H, W) mask
     rms_residual: float
-    objective_value: float
     at_bound: bool
     # Share of all pairs measured beyond mu_opt*v0 + inlier_threshold; an
     # occluder only brings depths nearer, so a high share flags a wrong fit.
@@ -131,10 +130,10 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarra
     the best mu is the deepest point of n intervals, found by sorting
     their ends (the 1-D case of maximum consensus; Chin & Suter, 2017).
     It takes the middle of the first deepest overlap, as an edge would
-    lose, to rounding, the pair that defines it. That consensus is refit
-    with mu = <d,v>/<v,v>; returns the ascending int64 positions of the
-    pairs within the threshold of that mu. Raises DegenerateSceneError
-    when the consensus is below min_inlier_fraction.
+    lose, to rounding, the pair that defines it. Returns the ascending
+    int64 positions of the pairs within the threshold of that mu, the
+    consensus itself. Raises DegenerateSceneError when the consensus is
+    below min_inlier_fraction.
     """
     n = len(d)
     if n < 2:
@@ -157,9 +156,7 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarra
             f"best consensus {count}/{n} below the minimum fraction "
             f"{cfg.min_inlier_fraction}"
         )
-
-    mu = float(d[agree] @ v[agree]) / float(v[agree] @ v[agree])
-    return np.flatnonzero(np.abs(d - mu * v) <= t)
+    return np.flatnonzero(agree)
 
 
 def refine(
@@ -197,8 +194,6 @@ def refine(
     d_all = real.data.ravel()[pairs].astype(np.float64)
     v_all = virtual0.data.ravel()[pairs].astype(np.float64)
     keep = ransac_inliers(d_all, v_all, cfg)
-    if keep.size == 0:
-        raise NoOverlapError("the inlier set is empty")
     d = d_all[keep]
     v0 = v_all[keep]
     inlier_mask = np.zeros(real.data.size, dtype=bool)
@@ -223,7 +218,6 @@ def refine(
         estimated_dims=cad_dims.scaled(mu_opt),
         inlier_mask=inlier_mask,
         rms_residual=math.sqrt(f_opt),
-        objective_value=f_opt,
         at_bound=sigma_opt != sigma_star,
         free_space_fraction=float(np.mean(d_all > mu_opt * v_all + cfg.inlier_threshold)),
     )

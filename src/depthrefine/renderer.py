@@ -86,9 +86,12 @@ class DepthMap:
             raise ValueError(
                 f"data shape {data.shape} does not match {self.height}x{self.width}"
             )
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN and hold any inf, so these two reductions
+        # see every non-finite value.
+        lo, hi = data.min(initial=0.0), data.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("depth values must be finite")
-        if np.any(data < 0.0):
+        if lo < 0.0:
             raise ValueError("depth values must be 0.0 (invalid) or positive")
         object.__setattr__(self, "data", data)
 

@@ -113,3 +113,36 @@ def candidate_position(center, radius: float, alpha: float, theta: float) -> np.
 def candidate_orientation(align: UnitQuaternion, alpha: float, theta: float) -> UnitQuaternion:
     """One grid orientation: align * Rz(alpha) * Ry(theta) as quaternions."""
     return quat_mul(quat_mul(align, quat_z(alpha)), quat_y(theta))
+
+
+def reference_ellipsoid_mesh(radii, rings: int, segments: int) -> TriangleMesh:
+    """Per-vertex, per-triangle loop build that `ellipsoid_mesh` must match
+    byte for byte."""
+    rx, ry, rz = (float(r) for r in radii)
+    verts = [(0.0, 0.0, 1.0)]
+    for k in range(1, rings):
+        theta = math.pi * k / rings
+        st, ct = math.sin(theta), math.cos(theta)
+        for m in range(segments):
+            phi = 2.0 * math.pi * m / segments
+            verts.append((st * math.cos(phi), st * math.sin(phi), ct))
+    verts.append((0.0, 0.0, -1.0))
+    bottom = len(verts) - 1
+
+    def ring(k: int, m: int) -> int:
+        return 1 + (k - 1) * segments + (m % segments)
+
+    tris = []
+    for m in range(segments):
+        tris.append((0, ring(1, m), ring(1, m + 1)))
+    for k in range(1, rings - 1):
+        for m in range(segments):
+            a, b = ring(k, m), ring(k, m + 1)
+            c, d = ring(k + 1, m), ring(k + 1, m + 1)
+            tris.append((a, c, d))
+            tris.append((a, d, b))
+    for m in range(segments):
+        tris.append((bottom, ring(rings - 1, m + 1), ring(rings - 1, m)))
+
+    scaled = np.array(verts, dtype=np.float64) * np.array([rx, ry, rz])
+    return TriangleMesh(scaled, np.array(tris, dtype=np.int64))

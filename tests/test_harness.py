@@ -34,6 +34,7 @@ from depthrefine.harness import (
     simulate_rgb_estimate,
     summary_table,
 )
+from helpers import reference_ellipsoid_mesh
 
 INTR = DEFAULT_INTRINSICS
 
@@ -68,6 +69,15 @@ class TestBuiltinModels:
         assert {(b, a) for a, b in edges} == set(edges)
         on_surface = ((mesh.vertices / radii) ** 2).sum(axis=1)
         assert np.abs(on_surface - 1.0).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("rings, segments", [(2, 3), (16, 24), (50, 50), (160, 160), (7, 40)])
+    def test_ellipsoid_matches_loop_build(self, rings, segments):
+        radii = (0.0375, 0.041, 0.035)
+        got = ellipsoid_mesh(radii, rings, segments)
+        want = reference_ellipsoid_mesh(radii, rings, segments)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.triangles.tobytes() == want.triangles.tobytes()
 
 
 class TestSimulateRgbEstimate:

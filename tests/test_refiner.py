@@ -220,7 +220,7 @@ def reference_ransac_inliers(samples, cfg):
     """Per-pair loop version of `ransac_inliers`, kept as its oracle.
 
     `samples` is a list of (pixel, real_depth, virtual_depth); returns the
-    frozenset of the final inlier pixels. Pair i agrees with the scales
+    frozenset of the pixels that agree with the best scale. Pair i agrees with the scales
     in [(d_i - t)/v_i, (d_i + t)/v_i]; for every interval start, in
     ascending order, it counts the intervals that contain it and keeps
     the first maximum.
@@ -238,17 +238,10 @@ def reference_ransac_inliers(samples, cfg):
         if len(containing) > best_count:
             best_count, best_mu = len(containing), (start + min(containing)) / 2.0
 
-    def agreeing(mu):
-        return [s for s in samples if abs(s[1] - mu * s[2]) <= t]
-
-    consensus = agreeing(best_mu)
+    consensus = [s for s in samples if abs(s[1] - best_mu * s[2]) <= t]
     if len(consensus) < math.ceil(cfg.min_inlier_fraction * n):
         raise DegenerateSceneError("below the minimum fraction")
-
-    dd = np.array([s[1] for s in consensus])
-    vv = np.array([s[2] for s in consensus])
-    mu = float(dd @ vv) / float(vv @ vv)
-    return frozenset(s[0] for s in agreeing(mu))
+    return frozenset(s[0] for s in consensus)
 
 
 def _outcome(fn):
@@ -333,7 +326,10 @@ class TestRefine:
         bound = 0.8 * float(coarse.position[2])
         assert -bound <= r.sigma_opt <= bound
         assert r.refined_pose.orientation == coarse.orientation
-        assert r.rms_residual == pytest.approx(math.sqrt(r.objective_value))
+        v0 = render_depth(mesh, coarse, INTR)
+        d = real.data[r.inlier_mask].astype(np.float64)
+        v = v0.data[r.inlier_mask].astype(np.float64)
+        assert r.rms_residual**2 == pytest.approx(np.mean((d - r.mu_opt * v) ** 2), rel=1e-9)
         assert r.inlier_mask.dtype == bool
         assert r.inlier_mask.shape == (INTR.height, INTR.width)
         assert not r.inlier_mask.flags.writeable
@@ -442,7 +438,7 @@ class TestClosedFormMatchesRenderedObjective:
             return objective(sigma, mesh, coarse, INTR, real, r.inlier_mask)
 
         f_opt = f(r.sigma_opt)
-        assert r.objective_value == pytest.approx(f_opt, rel=1e-6, abs=FLOAT32_MSE_FLOOR)
+        assert r.rms_residual**2 == pytest.approx(f_opt, rel=1e-6, abs=FLOAT32_MSE_FLOOR)
         v0 = render_depth(mesh, coarse, INTR)
         d = real.data[r.inlier_mask].astype(np.float64)
         v = v0.data[r.inlier_mask].astype(np.float64)
@@ -476,6 +472,23 @@ class TestFreeSpaceFraction:
             r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
             assert abs(r.mu_opt - spec.true_scale) > 0.01
             assert r.free_space_fraction > self.HIGH
+
+
+class TestLateralError:
+    @pytest.mark.parametrize("occluder_fraction", [0.0, 0.5])
+    def test_ten_mm_lateral_offset_stays_right(self, occluder_fraction):
+        # A coarse pose 10 mm off sideways at the true depth still refines
+        # to the right scale: a consensus over the whole support would
+        # not, if it refused every fit with pairs beyond free space.
+        mesh, _ = builtin_model("apple")
+        scene = {"occluder_fraction": occluder_fraction} if occluder_fraction else {}
+        for seed in range(0, 60, 5):
+            for spec in default_sweep(seed=seed, depth_noise=0.002, **scene):
+                real, coarse = generate_scene(spec)
+                p = coarse.position.copy()
+                p[0] += 0.01 * p[2] / spec.true_pose.position[2]
+                r = refine(Pose(p, coarse.orientation), mesh, CAD_CUBOID, INTR, real)
+                assert abs(r.mu_opt - spec.true_scale) <= 0.01, spec.scene_id
 
 
 class TestAtBound:

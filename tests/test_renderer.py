@@ -67,6 +67,29 @@ class TestDepthMap:
         with pytest.raises(ValueError):
             DepthMap(3, 2, np.zeros((3, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, np.nan]], "must be finite"),
+            ([[np.inf, 0.5]], "must be finite"),
+            ([[0.5, -np.inf]], "must be finite"),
+            ([[-0.1, 0.5]], r"0\.0 \(invalid\) or positive"),
+            ([[-0.1, np.nan]], "must be finite"),
+            (np.zeros((0, 0)), None),
+        ],
+        ids=["nan", "+inf", "-inf", "negative", "negative-and-nan", "empty"],
+    )
+    def test_value_checks(self, rows, message):
+        # A non-finite value is reported before a negative one; a 0x0 map
+        # is accepted.
+        data = np.array(rows, dtype=np.float32)
+        h, w = data.shape
+        if message is None:
+            assert DepthMap(w, h, data).data.shape == (0, 0)
+        else:
+            with pytest.raises(ValueError, match=message):
+                DepthMap(w, h, data)
+
     def test_valid_mask(self):
         d = DepthMap(2, 2, np.array([[0.5, 0.0], [0.0, 1.0]], dtype=np.float32))
         assert d.valid_mask.tolist() == [[True, False], [False, True]]
