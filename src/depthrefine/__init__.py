@@ -17,15 +17,8 @@ from .errors import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNEXPECTED,
-    BehindCameraError,
-    ConfigError,
-    DegenerateRayError,
     DegenerateSceneError,
-    DepthMapFormatError,
     DepthRefineError,
-    EmptyGeometryError,
-    InvalidInputError,
-    MeshParseError,
     NoFeasibleCandidateError,
     NoOverlapError,
     NumericalError,
@@ -77,17 +70,13 @@ from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehindCameraError",
     "CAD_CUBOID",
     "CameraIntrinsics",
-    "ConfigError",
     "CuboidDims",
     "DEFAULT_INTRINSICS",
     "DEFAULT_SCALE_LEVELS",
-    "DegenerateRayError",
     "DegenerateSceneError",
     "DepthMap",
-    "DepthMapFormatError",
     "DepthRefineError",
     "EXIT_DEGENERATE_SCENE",
     "EXIT_INVALID_INPUT",
@@ -96,12 +85,9 @@ __all__ = [
     "EXIT_NUMERICAL",
     "EXIT_OK",
     "EXIT_UNEXPECTED",
-    "EmptyGeometryError",
     "EvalRecord",
     "GraspCandidate",
     "GraspSamplingConfig",
-    "InvalidInputError",
-    "MeshParseError",
     "NoFeasibleCandidateError",
     "NoOverlapError",
     "NumericalError",

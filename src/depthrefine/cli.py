@@ -1,11 +1,12 @@
 """Command-line surface: render, refine, sample-grasps, simulate, eval.
 
-One subcommand per pipeline stage. Exit codes partition the error
-classes: 0 success, 1 unexpected failure, 2 invalid input or parse
-error, 3 no overlap between rendered and measured depth, 4 degenerate
-scene (robust fit found no consensus), 5 no feasible grasp candidate,
-6 numerical failure. Every command that touches randomness takes
---seed; identical invocations produce byte-identical outputs.
+One subcommand per pipeline stage. Exit codes: 0 success, 1 unexpected
+failure, 2 invalid input (any ValueError or OSError), and one code per
+pipeline failure on valid input: 3 no overlap between rendered and
+measured depth, 4 degenerate scene (robust fit found no consensus),
+5 no feasible grasp candidate, 6 numerical failure. Every command that
+touches randomness takes --seed; identical invocations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,8 +67,8 @@ def cmd_refine(args) -> int:
     mesh = load_mesh(args.mesh)
     real = load_depth(args.depth)
     if args.depth_scale != 1.0:
-        if not args.depth_scale > 0.0:
-            raise ValueError("--depth-scale must be positive")
+        if not (math.isfinite(args.depth_scale) and args.depth_scale > 0.0):
+            raise ValueError("--depth-scale must be positive and finite")
         real = DepthMap(real.width, real.height, real.data * np.float32(args.depth_scale))
     cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)

@@ -1,10 +1,10 @@
-"""Exception hierarchy and the CLI exit codes.
+"""Pipeline errors and the CLI exit codes.
 
-Every error class carries the process exit code the CLI reports when the
-error escapes a subcommand. Codes partition the error classes: parse and
-validation problems exit 2, pipeline failures get their own codes so
-callers can distinguish "the coarse pose was too wrong to refine" from
-"the scene had no usable consensus".
+Invalid input (a malformed file, a bad field or flag, a degenerate
+geometry) raises ValueError, which the CLI reports as exit 2. The
+classes here are for the ways the pipeline can fail on valid input; each
+carries its own exit code, so callers can distinguish "the coarse pose
+was too wrong to refine" from "the scene had no usable consensus".
 """
 
 EXIT_OK = 0
@@ -17,39 +17,9 @@ EXIT_NUMERICAL = 6
 
 
 class DepthRefineError(Exception):
-    """Base class for all package errors."""
+    """Base class for the pipeline's failures on valid input."""
 
     exit_code = EXIT_UNEXPECTED
-
-
-class InvalidInputError(DepthRefineError):
-    """Malformed or contract-violating input (files, configs, geometry)."""
-
-    exit_code = EXIT_INVALID_INPUT
-
-
-class MeshParseError(InvalidInputError):
-    """OBJ file could not be parsed; message carries the offending line."""
-
-
-class DepthMapFormatError(InvalidInputError):
-    """PFM file rejected: bad magic, bad dimensions, endianness, truncation."""
-
-
-class ConfigError(InvalidInputError):
-    """Pose/intrinsics JSON missing fields or failing validation."""
-
-
-class EmptyGeometryError(InvalidInputError):
-    """Mesh with no triangles, or a scene whose object covers no pixel."""
-
-
-class DegenerateRayError(InvalidInputError):
-    """Camera-to-object ray undefined (position at the camera origin)."""
-
-
-class BehindCameraError(InvalidInputError):
-    """Point with non-positive camera-frame depth cannot be projected."""
 
 
 class NoOverlapError(DepthRefineError):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DepthMapFormatError, MeshParseError
 from .geometry import CameraIntrinsics, CuboidDims, Pose, UnitQuaternion
 from .renderer import DepthMap, TriangleMesh
 
@@ -46,7 +46,7 @@ def load_mesh(path) -> TriangleMesh:
     try:
         mesh = TriangleMesh(*parsed)
     except ValueError as exc:
-        raise MeshParseError(f"{path.name}: {exc}") from None
+        raise ValueError(f"{path.name}: {exc}") from None
     centered, offset = mesh.recentered()
     log.info(
         "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
@@ -112,7 +112,7 @@ def _plain_lines(block: bytes, tag: bytes, number_chars: bytes) -> int:
 def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Parse any OBJ line by line: (vertices, 0-based fan-triangulated faces).
 
-    Raises MeshParseError naming the line of the first bad record.
+    Raises ValueError naming the line of the first bad record.
     """
     vertices: list[tuple[float, float, float]] = []
     triangles: list[tuple[int, int, int]] = []
@@ -124,36 +124,30 @@ def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             if parts[0] == "v":
                 if len(parts) < 4:
-                    raise MeshParseError(
-                        f"{path.name}:{lineno}: vertex needs 3 coordinates"
-                    )
+                    raise ValueError(f"{path.name}:{lineno}: vertex needs 3 coordinates")
                 try:
                     vertices.append(tuple(float(s) for s in parts[1:4]))
                 except ValueError:
-                    raise MeshParseError(
+                    raise ValueError(
                         f"{path.name}:{lineno}: non-numeric vertex coordinate"
                     ) from None
             else:
                 if len(parts) < 4:
-                    raise MeshParseError(
-                        f"{path.name}:{lineno}: face needs at least 3 vertices"
-                    )
+                    raise ValueError(f"{path.name}:{lineno}: face needs at least 3 vertices")
                 idx = []
                 for tok in parts[1:]:
                     head = tok.split("/")[0]
                     try:
                         k = int(head)
                     except ValueError:
-                        raise MeshParseError(
-                            f"{path.name}:{lineno}: bad face index {tok!r}"
-                        ) from None
+                        raise ValueError(f"{path.name}:{lineno}: bad face index {tok!r}") from None
                     if k == 0:
-                        raise MeshParseError(
+                        raise ValueError(
                             f"{path.name}:{lineno}: face index 0 (indices are 1-based)"
                         )
                     k = k - 1 if k > 0 else len(vertices) + k
                     if not 0 <= k < len(vertices):
-                        raise MeshParseError(
+                        raise ValueError(
                             f"{path.name}:{lineno}: face index {tok} out of range "
                             f"for {len(vertices)} vertices"
                         )
@@ -191,41 +185,29 @@ def load_depth(path) -> DepthMap:
     """
     with open(path, "rb") as fh:
         buf = fh.read()
-    pos = 0
-    tokens = []
-    for _ in range(4):
-        while pos < len(buf) and buf[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(buf) and not buf[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DepthMapFormatError("truncated header")
-        tokens.append(buf[start:pos])
-    pos += 1  # single whitespace byte terminates the header
-
+    # Four whitespace-separated tokens; one whitespace byte ends the header.
+    header = re.match(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?", buf)
+    if header is None:
+        raise ValueError("truncated header")
+    tokens = header.groups()
     if tokens[0] != b"Pf":
-        raise DepthMapFormatError(
-            f"unsupported magic {tokens[0]!r} (grayscale 'Pf' required)"
-        )
+        raise ValueError(f"unsupported magic {tokens[0]!r} (grayscale 'Pf' required)")
     try:
         width, height = int(tokens[1]), int(tokens[2])
         scale = float(tokens[3])
     except ValueError:
-        raise DepthMapFormatError("non-numeric header field") from None
+        raise ValueError("non-numeric header field") from None
     if width <= 0 or height <= 0 or width * height > MAX_PFM_PIXELS:
-        raise DepthMapFormatError(f"dimensions {width}x{height} overflow sane bounds")
+        raise ValueError(f"dimensions {width}x{height} overflow sane bounds")
     if scale > 0:
-        raise DepthMapFormatError("big-endian PFM not supported (scale must be negative)")
+        raise ValueError("big-endian PFM not supported (scale must be negative)")
     if scale == 0:
-        raise DepthMapFormatError("zero scale header")
+        raise ValueError("zero scale header")
 
     expected = width * height * 4
-    payload = buf[pos : pos + expected]
+    payload = buf[header.end() : header.end() + expected]
     if len(payload) < expected:
-        raise DepthMapFormatError(
-            f"truncated payload: {len(payload)} bytes, expected {expected}"
-        )
+        raise ValueError(f"truncated payload: {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     data = np.flipud(data).copy()  # PFM stores rows bottom-up
     holes = ~np.isfinite(data)
@@ -235,39 +217,36 @@ def load_depth(path) -> DepthMap:
                  Path(path).name, int(np.count_nonzero(holes)))
     if -scale != 1.0:
         data *= np.float32(-scale)
-    try:
-        return DepthMap(width, height, data)
-    except ValueError as exc:
-        raise DepthMapFormatError(str(exc)) from None
+    return DepthMap(width, height, data)
 
 
 def _vec3_field(doc: dict, key: str) -> np.ndarray:
     val = doc.get(key)
     if not (isinstance(val, (list, tuple)) and len(val) == 3):
-        raise ConfigError(f"field {key!r} must be a 3-element array")
+        raise ValueError(f"field {key!r} must be a 3-element array")
     arr = np.array(val, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"field {key!r} must be finite")
+        raise ValueError(f"field {key!r} must be finite")
     return arr
 
 
 def _number_field(doc: dict, key: str) -> float:
     val = doc.get(key)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"field {key!r} must be a number")
+        raise ValueError(f"field {key!r} must be a number")
     if not np.isfinite(val):
-        raise ConfigError(f"field {key!r} must be finite")
+        raise ValueError(f"field {key!r} must be finite")
     return float(val)
 
 
 def _quat_field(doc: dict, key: str) -> UnitQuaternion:
     val = doc.get(key)
     if not (isinstance(val, (list, tuple)) and len(val) == 4):
-        raise ConfigError(f"field {key!r} must be a 4-element [w, x, y, z] array")
+        raise ValueError(f"field {key!r} must be a 4-element [w, x, y, z] array")
     try:
         return UnitQuaternion(*(float(c) for c in val))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: {exc}") from None
+        raise ValueError(f"field {key!r}: {exc}") from None
 
 
 def _pose_from(doc: dict) -> Pose:
@@ -317,15 +296,15 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path.name}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path.name}: top level must be an object")
+        raise ValueError(f"{path.name}: top level must be an object")
 
     required = ("position", "orientation", "fx", "fy", "cx", "cy",
                 "width", "height", "cad_dims")
     missing = [k for k in required if k not in doc]
     if missing:
-        raise ConfigError(f"{path.name}: missing fields {missing}")
+        raise ValueError(f"{path.name}: missing fields {missing}")
 
     try:
         pose = _pose_from(doc)
@@ -339,10 +318,10 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
         )
         dims = CuboidDims(*_vec3_field(doc, "cad_dims"))
     except ValueError as exc:
-        raise ConfigError(f"{path.name}: {exc}") from None
+        raise ValueError(f"{path.name}: {exc}") from None
     # Same bound as a PFM header, checked before anything allocates the image.
     if intr.width * intr.height > MAX_PFM_PIXELS:
-        raise ConfigError(
+        raise ValueError(
             f"{path.name}: image {intr.width}x{intr.height} exceeds {MAX_PFM_PIXELS} pixels"
         )
 
@@ -350,12 +329,12 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
     if "world_T_camera" in doc:
         sub = doc["world_T_camera"]
         if not isinstance(sub, dict):
-            raise ConfigError(f"{path.name}: world_T_camera must be an object")
+            raise ValueError(f"{path.name}: world_T_camera must be an object")
         for k in ("position", "orientation"):
             if k not in sub:
-                raise ConfigError(f"{path.name}: world_T_camera missing {k!r}")
+                raise ValueError(f"{path.name}: world_T_camera missing {k!r}")
         try:
             extrinsics = _pose_from(sub)
         except ValueError as exc:
-            raise ConfigError(f"{path.name}: world_T_camera: {exc}") from None
+            raise ValueError(f"{path.name}: world_T_camera: {exc}") from None
     return pose, intr, extrinsics, dims

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateRayError
-
 # Constructors renormalize; inputs farther than this from unit norm are
 # rejected rather than silently rescaled.
 UNIT_NORM_TOL = 1e-3
@@ -205,7 +203,7 @@ def apply_sigma_to_pose(pose: Pose, sigma: float) -> tuple[Pose, float]:
     p = pose.position
     norm = float(np.linalg.norm(p))
     if norm == 0.0:
-        raise DegenerateRayError("position at the camera origin defines no ray")
+        raise ValueError("position at the camera origin defines no ray")
     if abs(sigma) >= norm:
         raise ValueError(
             f"|sigma|={abs(sigma):.6g} must stay below the position distance {norm:.6g}"
@@ -217,7 +215,7 @@ def project(intr: CameraIntrinsics, point) -> tuple[float, float, float]:
     """Pinhole projection of a camera-frame point to (u, v, depth)."""
     p = as_vec3(point)
     if p[2] <= 0.0:
-        raise BehindCameraError(f"point with z={p[2]:.6g} is behind the camera")
+        raise ValueError(f"point with z={p[2]:.6g} is behind the camera")
     u = intr.fx * p[0] / p[2] + intr.cx
     v = intr.fy * p[1] / p[2] + intr.cy
     return float(u), float(v), float(p[2])

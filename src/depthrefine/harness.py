@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DepthRefineError, EmptyGeometryError
+from .errors import DepthRefineError
 from .geometry import (
     CameraIntrinsics,
     CuboidDims,
@@ -197,8 +197,8 @@ def generate_scene(
     ground-truth render, never to the model the refiner sees). The
     occluder overwrites its region where it is nearer; Gaussian depth
     noise lands on every valid pixel. Deterministic per seed. Raises
-    EmptyGeometryError when the camera sees no pixel of the object, and
-    ValueError when the occluder hides none of its region.
+    ValueError when the camera sees no pixel of the object or the
+    occluder hides none of its region.
     """
     mesh, _ = builtin_model(spec.mesh_id)
     rng = np.random.default_rng(spec.seed)
@@ -210,7 +210,7 @@ def generate_scene(
 
     rendered = render_depth(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
     if not rendered.valid_mask.any():
-        raise EmptyGeometryError(f"scene {spec.scene_id!r}: the object covers no pixel")
+        raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
     data = rendered.data.astype(np.float64)
 
     if spec.occluder is not None:
@@ -306,7 +306,13 @@ def default_sweep(scales=DEFAULT_SCALE_LEVELS, seed: int = 0, **scene) -> list[S
 
 def run_sweep(specs: list[SceneSpec]) -> tuple[list[EvalRecord], str]:
     """Evaluate refinement with the default intrinsics and `RefineConfig`
-    over the scenes; failures are recorded, not raised."""
+    over the scenes.
+
+    A pipeline failure (a DepthRefineError) is recorded as a failed scene,
+    not raised. Invalid input raises ValueError out of the sweep; no
+    tabletop scene can give `refine` one, because its coarse z is
+    object_depth / true_scale > 0.
+    """
     if not specs:
         raise ValueError("specs must be non-empty")
     records: list[EvalRecord] = []

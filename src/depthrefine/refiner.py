@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    DegenerateSceneError,
-    NoOverlapError,
-    NumericalError,
-)
+from .errors import DegenerateSceneError, NoOverlapError, NumericalError
 from .geometry import (
     CameraIntrinsics,
     CuboidDims,
@@ -51,8 +46,8 @@ class RefineConfig:
     def __post_init__(self):
         if not 0.0 < self.bound_fraction < 1.0:
             raise ValueError("bound_fraction must be in (0, 1)")
-        if not self.inlier_threshold > 0.0:
-            raise ValueError("inlier_threshold must be positive")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0.0):
+            raise ValueError("inlier_threshold must be positive and finite")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
 
@@ -183,7 +178,7 @@ def refine(
         cfg = RefineConfig()
     pz = float(coarse.position[2])
     if pz <= 0.0:
-        raise BehindCameraError(f"coarse position z must be positive, got {pz}")
+        raise ValueError(f"coarse position z must be positive, got {pz}")
     if (real.height, real.width) != (intr.height, intr.width):
         raise ValueError("real depth map dimensions do not match intrinsics")
 

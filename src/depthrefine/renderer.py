@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGeometryError
 from .geometry import CameraIntrinsics, Pose, quat_to_matrix
 
 # Triangles with any vertex closer than this are dropped whole rather than
@@ -54,7 +53,7 @@ class TriangleMesh:
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise ValueError(f"triangles must be (M, 3), got {tris.shape}")
         if tris.shape[0] == 0:
-            raise EmptyGeometryError("mesh has no triangles")
+            raise ValueError("mesh has no triangles")
         if tris.min() < 0 or tris.max() >= verts.shape[0]:
             raise ValueError(
                 f"triangle index out of range for {verts.shape[0]} vertices"

@@ -2,8 +2,8 @@
 
 Every test drives ``cli.main`` in-process and checks the returned exit
 code plus the files the command writes. Error-path tests pin the exit
-code partition: 2 invalid input, 3 no overlap, 4 degenerate scene,
-5 no feasible candidate.
+codes: 2 invalid input (a ValueError), 3 no overlap, 4 degenerate
+scene, 5 no feasible candidate.
 """
 
 import dataclasses
@@ -26,13 +26,13 @@ from depthrefine import (
     DepthRefineError,
     EvalRecord,
     GraspSamplingConfig,
-    MeshParseError,
     NoFeasibleCandidateError,
     NoOverlapError,
     NumericalError,
     Pose,
     RefineConfig,
     UnitQuaternion,
+    apply_sigma_to_pose,
     default_sweep,
     generate_scene,
     load_depth,
@@ -224,6 +224,21 @@ class TestRefine:
         argv, _ = self.refine_args(workspace, depth_path, "--depth-scale", "0")
         assert main(argv) == EXIT_INVALID_INPUT
         assert "depth-scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--depth-scale", "--depth-scale"), ("--inlier-threshold", "inlier_threshold"),
+    ], ids=["depth-scale", "inlier-threshold"])
+    def test_infinite_flag_exits_2(self, workspace, capsys, flag, name):
+        # An infinite depth scale passed the positivity check and warned on
+        # 0 * inf; an infinite threshold warned on inf - inf in the
+        # consensus sweep and exited 4, blaming the scene for a bad flag.
+        tmp_path, _, _ = workspace
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, render_fixture_depth())
+        argv, out = self.refine_args(workspace, depth_path, flag, "inf")
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sensor_holes_refine(self, workspace):
         tmp_path, _, _ = workspace
@@ -576,11 +591,37 @@ class TestLibraryDefaults:
         assert out.read_text().splitlines() == expected
 
 
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
 class TestExitCodeMapping:
     def test_error_classes_partition_codes(self):
-        assert MeshParseError.exit_code == EXIT_INVALID_INPUT
         assert NoOverlapError.exit_code == EXIT_NO_OVERLAP
         assert DegenerateSceneError.exit_code == EXIT_DEGENERATE_SCENE
         assert NoFeasibleCandidateError.exit_code == EXIT_NO_CANDIDATE
         assert NumericalError.exit_code == EXIT_NUMERICAL
         assert DepthRefineError.exit_code == EXIT_UNEXPECTED
+        assert all(cls.exit_code != EXIT_INVALID_INPUT for cls in DepthRefineError.__subclasses__())
+
+    @pytest.mark.parametrize("raise_it", [
+        lambda tmp: load_mesh(_write(tmp / "bad.obj", b"v 0 0 0\nf 1 2 9\n")),
+        lambda tmp: load_depth(_write(tmp / "bad.pfm", b"PF\n2 2\n-1.0\n" + b"\x00" * 48)),
+        lambda tmp: load_scene_config(_write(tmp / "s.json", b'{"fx": 1.0}')),
+        lambda tmp: load_mesh(_write(tmp / "empty.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n")),
+        lambda tmp: generate_scene(tabletop_scene("far", 1.0, object_depth=1e6)),
+        lambda tmp: refine(
+            Pose(np.zeros(3), UnitQuaternion.identity()), square_mesh(),
+            builtin_model("apple")[1], INTRINSICS, render_fixture_depth(),
+        ),
+        lambda tmp: apply_sigma_to_pose(Pose(np.zeros(3), UnitQuaternion.identity()), 0.1),
+    ], ids=["bad-obj", "bad-pfm-magic", "missing-field", "no-triangles",
+            "covers-no-pixel", "coarse-z-zero", "sigma-at-origin"])
+    def test_invalid_input_is_a_value_error(self, tmp_path, raise_it):
+        # The CLI maps every ValueError to exit 2; the DepthRefineError
+        # classes are the pipeline's own failures, each with its own code.
+        with pytest.raises(ValueError) as exc_info:
+            raise_it(tmp_path)
+        assert not isinstance(exc_info.value, DepthRefineError)
+

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from depthrefine import (
-    BehindCameraError,
     CameraIntrinsics,
     CuboidDims,
-    DegenerateRayError,
     Pose,
     UnitQuaternion,
     apply_sigma_to_pose,
@@ -213,7 +211,7 @@ class TestSigmaTransform:
                 self.slide(sigma, np.array([0.0, 0.0, 1.0]))
 
     def test_zero_anchor_rejected(self):
-        with pytest.raises(DegenerateRayError):
+        with pytest.raises(ValueError):
             self.slide(0.1, np.zeros(3))
 
     def test_sigma_at_anchor_distance_rejected(self):
@@ -277,9 +275,9 @@ class TestProject:
             assert math.isclose(d1, mu * d0, rel_tol=1e-12)
 
     def test_behind_camera_rejected(self):
-        with pytest.raises(BehindCameraError):
+        with pytest.raises(ValueError):
             project(self.INTR, (0.0, 0.0, -0.5))
-        with pytest.raises(BehindCameraError):
+        with pytest.raises(ValueError):
             project(self.INTR, (0.1, 0.1, 0.0))
 
 

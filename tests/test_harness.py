@@ -9,7 +9,6 @@ from depthrefine import (
     CAD_CUBOID,
     DEFAULT_INTRINSICS,
     DEFAULT_SCALE_LEVELS,
-    EmptyGeometryError,
     EvalRecord,
     OccluderSpec,
     Pose,
@@ -225,7 +224,7 @@ class TestUnseenScenes:
                              ids=["tiny", "far"])
     def test_object_covering_no_pixel_raises(self, true_scale, object_depth):
         spec = tabletop_scene("t", true_scale, object_depth=object_depth)
-        with pytest.raises(EmptyGeometryError, match="covers no pixel"):
+        with pytest.raises(ValueError, match="covers no pixel"):
             generate_scene(spec)
 
 

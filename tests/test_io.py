@@ -13,13 +13,8 @@ from hypothesis import strategies as st
 
 from depthrefine import (
     CameraIntrinsics,
-    ConfigError,
     CuboidDims,
     DepthMap,
-    DepthMapFormatError,
-    DepthRefineError,
-    EmptyGeometryError,
-    MeshParseError,
     Pose,
     TriangleMesh,
     UnitQuaternion,
@@ -124,25 +119,25 @@ class TestLoadMesh:
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
-        with pytest.raises(MeshParseError, match="4"):
+        with pytest.raises(ValueError, match="4"):
             load_mesh(path)
 
     def test_zero_index(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n")
-        with pytest.raises(MeshParseError, match="1-based"):
+        with pytest.raises(ValueError, match="1-based"):
             load_mesh(path)
 
     def test_malformed_vertex(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 zero 0\n")
-        with pytest.raises(MeshParseError, match="bad.obj:1"):
+        with pytest.raises(ValueError, match="bad.obj:1"):
             load_mesh(path)
 
     def test_short_face(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nf 1 2\n")
-        with pytest.raises(MeshParseError, match="at least 3"):
+        with pytest.raises(ValueError, match="at least 3"):
             load_mesh(path)
 
     def test_byte_order_mark_ignored(self, tmp_path):
@@ -159,7 +154,7 @@ class TestLoadMesh:
     def test_no_triangles(self, tmp_path):
         path = tmp_path / "empty.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
-        with pytest.raises(EmptyGeometryError):
+        with pytest.raises(ValueError, match="^empty.obj: mesh has no triangles$"):
             load_mesh(path)
 
 
@@ -173,7 +168,7 @@ def _outcome(load, path):
     """The loaded arrays, or the type and message of what was raised."""
     try:
         mesh = load(path)
-    except DepthRefineError as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return mesh.vertices, mesh.triangles
 
@@ -311,41 +306,52 @@ class TestPfm:
         assert float(loaded.data[0, 1]) == 0.0
         assert not loaded.valid_mask[0, 1]
 
+    def test_round_trip_mixed_whitespace_header(self, tmp_path):
+        # Tabs, CRLF and runs of spaces separate the header tokens; one
+        # whitespace byte ends the header.
+        path = tmp_path / "d.pfm"
+        original = self.random_map(seed=1)
+        header = b"  Pf\r\n5\t\t7   \r\n \t-1.0\n"
+        path.write_bytes(header + np.flipud(original.data).astype("<f4").tobytes())
+        loaded = load_depth(path)
+        assert loaded.width == 5 and loaded.height == 7
+        assert np.array_equal(loaded.data.view(np.uint32), original.data.view(np.uint32))
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)
-        with pytest.raises(DepthMapFormatError, match="magic"):
+        with pytest.raises(ValueError, match="magic"):
             load_depth(path)
 
     def test_rejects_big_endian(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n2 2\n1.0\n" + b"\x00" * 16)
-        with pytest.raises(DepthMapFormatError, match="big-endian"):
+        with pytest.raises(ValueError, match="big-endian"):
             load_depth(path)
 
     def test_rejects_truncated_payload(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n4 4\n-1.0\n" + b"\x00" * 10)
-        with pytest.raises(DepthMapFormatError, match="truncated payload"):
+        with pytest.raises(ValueError, match="truncated payload"):
             load_depth(path)
 
     def test_rejects_truncated_header(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n2")
-        with pytest.raises(DepthMapFormatError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             load_depth(path)
 
     def test_rejects_dimension_overflow(self, tmp_path):
         path = tmp_path / "d.pfm"
         path.write_bytes(b"Pf\n99999999 99999999\n-1.0\n")
-        with pytest.raises(DepthMapFormatError, match="overflow"):
+        with pytest.raises(ValueError, match="overflow"):
             load_depth(path)
 
     def test_rejects_negative_depths(self, tmp_path):
         path = tmp_path / "d.pfm"
         payload = struct.pack("<4f", -1.0, 0.5, 0.5, 0.5)
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + payload)
-        with pytest.raises(DepthMapFormatError):
+        with pytest.raises(ValueError):
             load_depth(path)
 
     def test_nan_and_inf_holes_load_invalid(self, tmp_path, caplog):
@@ -399,7 +405,7 @@ class TestSceneConfig:
     def test_missing_field(self, tmp_path):
         doc = scene_doc()
         del doc["cad_dims"]
-        with pytest.raises(ConfigError, match="cad_dims"):
+        with pytest.raises(ValueError, match="cad_dims"):
             load_scene_config(self.write(tmp_path, doc))
 
     def test_near_unit_quaternion_renormalized(self, tmp_path):
@@ -409,30 +415,30 @@ class TestSceneConfig:
 
     def test_far_from_unit_quaternion_rejected(self, tmp_path):
         doc = scene_doc(orientation=[0.5, 0.0, 0.0, 0.0])
-        with pytest.raises(ConfigError, match="orientation"):
+        with pytest.raises(ValueError, match="orientation"):
             load_scene_config(self.write(tmp_path, doc))
 
     def test_non_finite_rejected(self, tmp_path):
         doc = scene_doc(fx=float("nan"))
-        with pytest.raises(ConfigError, match="fx"):
+        with pytest.raises(ValueError, match="fx"):
             load_scene_config(self.write(tmp_path, doc))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        with pytest.raises(ValueError, match="JSON"):
             load_scene_config(str(path))
 
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(ConfigError, match="object"):
+        with pytest.raises(ValueError, match="object"):
             load_scene_config(str(path))
 
     def test_image_size_bounded_like_pfm(self, tmp_path):
         # Checked while parsing; nothing of the image size is allocated.
         doc = scene_doc(width=100_000, height=100_000, cx=50_000.0, cy=50_000.0)
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds"):
             load_scene_config(self.write(tmp_path, doc))
         side = math.isqrt(MAX_PFM_PIXELS)
         doc = scene_doc(width=side, height=side, cx=side / 2, cy=side / 2)
@@ -441,7 +447,7 @@ class TestSceneConfig:
 
     def test_bad_intrinsics_rejected(self, tmp_path):
         doc = scene_doc(cx=900.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             load_scene_config(self.write(tmp_path, doc))
 
 

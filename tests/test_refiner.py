@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from depthrefine import (
     CAD_CUBOID,
     DEFAULT_INTRINSICS,
-    BehindCameraError,
     DegenerateSceneError,
     DepthMap,
     NoOverlapError,
@@ -48,6 +47,11 @@ class TestConfigs:
     def test_refine_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(bound_fraction=1.0)
+
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="inlier_threshold must be positive and finite"):
+            RefineConfig(inlier_threshold=threshold)
 
 
 class TestObjective:
@@ -364,7 +368,7 @@ class TestRefine:
         mesh, _ = builtin_model("apple")
         real = DepthMap(INTR.width, INTR.height, np.zeros((INTR.height, INTR.width), np.float32))
         pose = Pose(np.array([0.0, 0.0, -0.5]), UnitQuaternion.identity())
-        with pytest.raises(BehindCameraError):
+        with pytest.raises(ValueError):
             refine(pose, mesh, CAD_CUBOID, INTR, real)
 
     def test_no_overlap_raises(self):

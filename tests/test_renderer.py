@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from depthrefine import (
     CameraIntrinsics,
     DepthMap,
-    EmptyGeometryError,
     Pose,
     TriangleMesh,
     UnitQuaternion,
@@ -33,7 +32,7 @@ def frontal_pose(z: float = 1.0) -> Pose:
 
 class TestTriangleMesh:
     def test_rejects_no_triangles(self):
-        with pytest.raises(EmptyGeometryError):
+        with pytest.raises(ValueError):
             TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
 
     def test_rejects_out_of_range_index(self):
