@@ -14,14 +14,12 @@ from .errors import (
     EXIT_INVALID_INPUT,
     EXIT_NO_CANDIDATE,
     EXIT_NO_OVERLAP,
-    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNEXPECTED,
     DegenerateSceneError,
     DepthRefineError,
     NoFeasibleCandidateError,
     NoOverlapError,
-    NumericalError,
 )
 from .fileio import (
     load_depth,
@@ -82,7 +80,6 @@ __all__ = [
     "EXIT_INVALID_INPUT",
     "EXIT_NO_CANDIDATE",
     "EXIT_NO_OVERLAP",
-    "EXIT_NUMERICAL",
     "EXIT_OK",
     "EXIT_UNEXPECTED",
     "EvalRecord",
@@ -90,7 +87,6 @@ __all__ = [
     "GraspSamplingConfig",
     "NoFeasibleCandidateError",
     "NoOverlapError",
-    "NumericalError",
     "OccluderSpec",
     "Pose",
     "RefineConfig",

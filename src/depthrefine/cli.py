@@ -4,9 +4,8 @@ One subcommand per pipeline stage. Exit codes: 0 success, 1 unexpected
 failure, 2 invalid input (any ValueError or OSError), and one code per
 pipeline failure on valid input: 3 no overlap between rendered and
 measured depth, 4 degenerate scene (robust fit found no consensus),
-5 no feasible grasp candidate, 6 numerical failure. Every command that
-touches randomness takes --seed; identical invocations produce
-byte-identical outputs.
+5 no feasible grasp candidate. Every command that touches randomness
+takes --seed; identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Invalid input (a malformed file, a bad field or flag, a degenerate
 geometry) raises ValueError, which the CLI reports as exit 2. The
-classes here are for the ways the pipeline can fail on valid input; each
-carries its own exit code, so callers can distinguish "the coarse pose
-was too wrong to refine" from "the scene had no usable consensus".
+classes here are the pipeline's three failures on valid input, one per
+stage, each with its own exit code: no overlap between render and
+measurement (3), no consensus on a scale (4), no feasible grasp (5).
 """
 
 EXIT_OK = 0
@@ -13,7 +13,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_NO_OVERLAP = 3
 EXIT_DEGENERATE_SCENE = 4
 EXIT_NO_CANDIDATE = 5
-EXIT_NUMERICAL = 6
 
 
 class DepthRefineError(Exception):
@@ -38,9 +37,3 @@ class NoFeasibleCandidateError(DepthRefineError):
     """Every sampled grasp candidate was filtered out."""
 
     exit_code = EXIT_NO_CANDIDATE
-
-
-class NumericalError(DepthRefineError):
-    """Objective evaluated to a non-finite value."""
-
-    exit_code = EXIT_NUMERICAL

@@ -47,12 +47,13 @@ def load_mesh(path) -> TriangleMesh:
         mesh = TriangleMesh(*parsed)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
-    centered, offset = mesh.recentered()
+    # Validated first, so no non-finite vertex reaches the mean.
+    offset = mesh.vertices.mean(axis=0)
     log.info(
         "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
         path.name, len(mesh.vertices), len(mesh.triangles), *offset,
     )
-    return centered
+    return TriangleMesh(mesh.vertices - offset, mesh.triangles)
 
 
 def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -201,8 +202,10 @@ def load_depth(path) -> DepthMap:
         raise ValueError(f"dimensions {width}x{height} overflow sane bounds")
     if scale > 0:
         raise ValueError("big-endian PFM not supported (scale must be negative)")
-    if scale == 0:
-        raise ValueError("zero scale header")
+    # As Python floats, so that a huge scale is not cast to float32 here.
+    tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+    if not tiny <= -scale <= top:  # NaN fails too
+        raise ValueError(f"scale header {scale} is outside the float32 range")
 
     expected = width * height * 4
     payload = buf[header.end() : header.end() + expected]
@@ -216,7 +219,9 @@ def load_depth(path) -> DepthMap:
         log.info("%s: %d NaN/inf pixels mapped to 0.0 (invalid)",
                  Path(path).name, int(np.count_nonzero(holes)))
     if -scale != 1.0:
-        data *= np.float32(-scale)
+        # An overflowing product reaches DepthMap's finite check as inf.
+        with np.errstate(over="ignore"):
+            data *= np.float32(-scale)
     return DepthMap(width, height, data)
 
 

@@ -140,8 +140,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.true_scale > 0.0:
-            raise ValueError("true_scale must be positive")
+        if not (math.isfinite(self.true_scale) and self.true_scale > 0.0):
+            raise ValueError(f"true_scale must be finite and positive, got {self.true_scale}")
         for name in ("depth_noise", "shape_noise"):
             value = getattr(self, name)
             # NaN fails every comparison, so it would skip the noise step.
@@ -170,8 +170,8 @@ def simulate_rgb_estimate(true_pose: Pose, true_scale: float) -> Pose:
     """Pose an ideal scale-blind estimator reports for an object of
     `true_scale` times the model size: same image, position pushed to
     p/true_scale, orientation untouched."""
-    if not true_scale > 0.0:
-        raise ValueError("true_scale must be positive")
+    if not (math.isfinite(true_scale) and true_scale > 0.0):
+        raise ValueError(f"true_scale must be finite and positive, got {true_scale}")
     return Pose(true_pose.position / true_scale, true_pose.orientation)
 
 
@@ -253,6 +253,8 @@ def tabletop_scene(
     up; the model's height axis (y) is posed to point up, so the true
     centroid height is true_scale * dy / 2.
     """
+    if not (math.isfinite(true_scale) and true_scale > 0.0):
+        raise ValueError(f"true_scale must be finite and positive, got {true_scale}")
     if not (math.isfinite(object_depth) and object_depth > 0.0):
         raise ValueError(f"object_depth must be finite and positive, got {object_depth}")
     if not 0.0 <= occluder_fraction < 1.0:

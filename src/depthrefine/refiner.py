@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSceneError, NoOverlapError, NumericalError
+from .errors import DegenerateSceneError, NoOverlapError
 from .geometry import (
     CameraIntrinsics,
     CuboidDims,
@@ -87,32 +87,25 @@ def objective(
 ) -> float:
     """Mean squared depth residual at the given sigma.
 
-    Renders the model at the slid-and-scaled pose, intersects the render's
-    support with the measurement's valid pixels (and with `inliers` when
-    given: a boolean mask of the map shape), and averages the squared
-    differences. Empty intersection means the coarse pose is too wrong to
-    refine and raises NoOverlapError.
+    Renders the model at the slid-and-scaled pose, pairs its pixels with
+    the measured ones through `residual_samples` (narrowed to `inliers`
+    when given: a boolean mask of the map shape), and averages the squared
+    differences. No pair means the coarse pose is too wrong to refine and
+    raises NoOverlapError.
     """
-    if (real.height, real.width) != (intr.height, intr.width):
-        raise ValueError("real depth map dimensions do not match intrinsics")
     transformed, mu = apply_sigma_to_pose(pose, sigma)
     virtual = render_depth(mesh, transformed, intr, scale=mu)
-    mask = virtual.valid_mask & real.valid_mask
+    pairs = residual_samples(real, virtual)
     if inliers is not None:
         inliers = np.asarray(inliers)
-        if inliers.shape != mask.shape or inliers.dtype != bool:
+        if inliers.shape != real.data.shape or inliers.dtype != bool:
             raise ValueError("inlier mask must be a boolean array of the map shape")
-        mask &= inliers
-    rho = int(np.count_nonzero(mask))
-    if rho == 0:
-        raise NoOverlapError(
-            "rendered and measured depth supports do not intersect"
-        )
-    diff = real.data[mask].astype(np.float64) - virtual.data[mask].astype(np.float64)
-    value = float(np.mean(diff * diff))
-    if not np.isfinite(value):
-        raise NumericalError(f"objective is not finite at sigma={sigma}")
-    return value
+        pairs = pairs[inliers.ravel()[pairs]]
+    if pairs.size == 0:
+        raise NoOverlapError("rendered and measured depth supports do not intersect")
+    diff = (real.data.ravel()[pairs].astype(np.float64)
+            - virtual.data.ravel()[pairs].astype(np.float64))
+    return float(np.mean(diff * diff))
 
 
 def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarray:
@@ -196,6 +189,10 @@ def refine(
     inlier_mask = inlier_mask.reshape(real.data.shape)
     inlier_mask.flags.writeable = False
 
+    # All finite: DepthMap depths are at most 3.4e38 and rendered ones at
+    # least NEAR_PLANE, so in float64 each squared residual and their mean
+    # stay below about 1e78; v0 > 0 keeps mu* finite; and, with b =
+    # bound_fraction < 1, |sigma_opt| <= b*pz <= b*||p|| puts mu_opt in [1-b, 1+b].
     mu_star = float(d @ v0) / float(v0 @ v0)
     bound = cfg.bound_fraction * pz
     sigma_star = (1.0 - mu_star) * float(np.linalg.norm(coarse.position))
@@ -204,8 +201,6 @@ def refine(
     refined_pose, mu_opt = apply_sigma_to_pose(coarse, sigma_opt)
     diff = d - mu_opt * v0
     f_opt = float(np.mean(diff * diff))
-    if not math.isfinite(f_opt):
-        raise NumericalError(f"objective is not finite at sigma={sigma_opt}")
     return RefinementResult(
         sigma_opt=sigma_opt,
         mu_opt=mu_opt,

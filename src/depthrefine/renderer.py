@@ -61,15 +61,6 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def recentered(self) -> tuple[TriangleMesh, np.ndarray]:
-        """Mesh shifted so the vertex centroid is the origin, plus the offset removed."""
-        offset = self.centroid
-        return TriangleMesh(self.vertices - offset, self.triangles), offset
-
 
 @dataclass(frozen=True)
 class DepthMap:

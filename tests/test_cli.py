@@ -17,7 +17,6 @@ from depthrefine import (
     EXIT_INVALID_INPUT,
     EXIT_NO_CANDIDATE,
     EXIT_NO_OVERLAP,
-    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNEXPECTED,
     CameraIntrinsics,
@@ -28,7 +27,6 @@ from depthrefine import (
     GraspSamplingConfig,
     NoFeasibleCandidateError,
     NoOverlapError,
-    NumericalError,
     Pose,
     RefineConfig,
     UnitQuaternion,
@@ -507,6 +505,15 @@ class TestSimulateAndEval:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("command, flag", [("simulate", "--scale"), ("eval", "--scales")])
+    def test_infinite_scale_exits_2(self, tmp_path, capsys, command, flag):
+        # Used to exit 2 on the camera pose, "vector components must be
+        # finite", naming neither the flag nor the field.
+        argv, outputs = scene_command(command, tmp_path)
+        assert main(argv + [flag, "inf"]) == EXIT_INVALID_INPUT
+        assert "true_scale" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     @pytest.mark.parametrize("command", ["simulate", "eval"])
     def test_infinite_occluder_depth_exits_2(self, tmp_path, capsys, command):
         # offset -inf puts the occluder at depth +inf, which used to leave the
@@ -601,9 +608,13 @@ class TestExitCodeMapping:
         assert NoOverlapError.exit_code == EXIT_NO_OVERLAP
         assert DegenerateSceneError.exit_code == EXIT_DEGENERATE_SCENE
         assert NoFeasibleCandidateError.exit_code == EXIT_NO_CANDIDATE
-        assert NumericalError.exit_code == EXIT_NUMERICAL
         assert DepthRefineError.exit_code == EXIT_UNEXPECTED
         assert all(cls.exit_code != EXIT_INVALID_INPUT for cls in DepthRefineError.__subclasses__())
+
+    def test_one_failure_per_pipeline_stage(self):
+        # Overlap, consensus and grasp feasibility: the only ways the
+        # pipeline fails on valid input.
+        assert {cls.exit_code for cls in DepthRefineError.__subclasses__()} == {3, 4, 5}
 
     @pytest.mark.parametrize("raise_it", [
         lambda tmp: load_mesh(_write(tmp / "bad.obj", b"v 0 0 0\nf 1 2 9\n")),

@@ -43,7 +43,7 @@ class TestBuiltinModels:
         mesh, dims = builtin_model("apple")
         extent = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
         assert np.allclose(extent, dims.as_array(), atol=1e-12)
-        assert np.abs(mesh.centroid).max() < 1e-12
+        assert np.abs(mesh.vertices.mean(axis=0)).max() < 1e-12
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -198,6 +198,18 @@ class TestGenerateScene:
                 OccluderSpec(bad, 0.2)
         with pytest.raises(ValueError, match="occluder depth"):
             tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=-math.inf)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_true_scale_must_be_finite_and_positive(self, scale):
+        # inf used to pass SceneSpec, and tabletop_scene then failed on its
+        # camera pose with a message that named no field.
+        base = tabletop_scene("t", 0.8)
+        with pytest.raises(ValueError, match="true_scale"):
+            SceneSpec("t", scale, base.true_pose, base.camera_pose)
+        with pytest.raises(ValueError, match="true_scale"):
+            tabletop_scene("t", scale)
+        with pytest.raises(ValueError, match="true_scale"):
+            simulate_rgb_estimate(base.true_pose, scale)
 
     def test_occluder_fraction_validation(self):
         assert tabletop_scene("t", 0.8, occluder_fraction=0.0).occluder is None

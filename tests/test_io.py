@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -73,7 +74,7 @@ class TestLoadMesh:
         assert mesh.vertices.shape == (8, 3)
         assert mesh.triangles.shape == (12, 3)
         # original centroid (1,1,1) removed
-        assert np.abs(mesh.centroid).max() < 1e-12
+        assert np.abs(mesh.vertices.mean(axis=0)).max() < 1e-12
         assert np.allclose(np.abs(mesh.vertices), 1.0, atol=1e-12)
 
     def test_recentering_offset_logged(self, tmp_path, caplog):
@@ -377,6 +378,24 @@ class TestPfm:
         path.write_bytes(b"Pf\n2 2\n-0.5\n" + payload)
         loaded = load_depth(path)
         assert np.allclose(np.sort(loaded.data.ravel()), [0.5, 1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("scale, depth, message", [
+        (b"-inf", 0.5, "scale header"),
+        (b"-1e300", 0.5, "scale header"),
+        (b"-1e-50", 0.5, "scale header"),
+        (b"nan", 0.5, "scale header"),
+        (b"-0.0", 0.5, "scale header"),
+        (b"-3e38", 10.0, "finite"),
+    ], ids=["minus-inf", "beyond-float32", "below-float32", "nan", "zero", "product-overflows"])
+    def test_rejects_scale_header_outside_float32(self, tmp_path, scale, depth, message):
+        # -1e300 and an overflowing product used to warn (exit 1 under the
+        # warning filter), and -1e-50 loaded as an all-invalid map.
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + struct.pack("<4f", *[depth] * 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                load_depth(path)
 
 
 class TestSceneConfig:

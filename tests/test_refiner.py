@@ -111,6 +111,12 @@ class TestObjective:
             with pytest.raises(ValueError):
                 objective(0.0, mesh, pose, INTR, real, bad)
 
+    def test_map_shape_must_match_intrinsics(self):
+        mesh, _ = builtin_model("apple")
+        real = DepthMap(INTR.width - 1, INTR.height, np.ones((INTR.height, INTR.width - 1)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            objective(0.0, mesh, apple_pose(), INTR, real)
+
     def test_disjoint_support_raises(self):
         mesh, _ = builtin_model("apple")
         pose = apple_pose()

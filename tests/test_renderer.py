@@ -44,13 +44,6 @@ class TestTriangleMesh:
         with pytest.raises(ValueError):
             TriangleMesh(verts, np.array([[0, 1, 2]]))
 
-    def test_recentered(self):
-        mesh = square_mesh()
-        shifted = TriangleMesh(mesh.vertices + [1.0, 2.0, 3.0], mesh.triangles)
-        centered, offset = shifted.recentered()
-        assert np.allclose(offset, [1.0, 2.0, 3.0], atol=1e-12)
-        assert np.abs(centered.centroid).max() < 1e-12
-
 
 class TestDepthMap:
     def test_rejects_negative_values(self):
