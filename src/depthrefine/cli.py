@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -66,9 +65,17 @@ def cmd_refine(args) -> int:
     mesh = load_mesh(args.mesh)
     real = load_depth(args.depth)
     if args.depth_scale != 1.0:
-        if not (math.isfinite(args.depth_scale) and args.depth_scale > 0.0):
-            raise ValueError("--depth-scale must be positive and finite")
-        real = DepthMap(real.width, real.height, real.data * np.float32(args.depth_scale))
+        # The range load_depth allows a PFM scale: below it depths underflow
+        # to 0 and the scene gets the blame; above it the float32 cast overflows.
+        tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+        if not tiny <= args.depth_scale <= top:  # NaN fails too
+            raise ValueError(
+                f"--depth-scale must lie in [{tiny:.6g}, {top:.6g}], got {args.depth_scale}"
+            )
+        # An overflowing product reaches DepthMap's finite check as inf.
+        with np.errstate(over="ignore"):
+            data = real.data * np.float32(args.depth_scale)
+        real = DepthMap(real.width, real.height, data)
     cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
     inlier_count = int(np.count_nonzero(result.inlier_mask))

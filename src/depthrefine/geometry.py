@@ -27,7 +27,7 @@ def as_vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"vector components must be finite, got {arr}")
     return arr
 
@@ -48,18 +48,22 @@ class UnitQuaternion:
 
     def __post_init__(self):
         q = np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"quaternion components must be finite, got {q}")
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"quaternion norm {norm:.6g} too far from 1")
-        q /= norm
-        if q[0] < 0.0:
-            q = -q
-        object.__setattr__(self, "w", float(q[0]))
-        object.__setattr__(self, "x", float(q[1]))
-        object.__setattr__(self, "y", float(q[2]))
-        object.__setattr__(self, "z", float(q[3]))
+        w, x, y, z = q.tolist()
+        # hypot cannot overflow, so a huge component fails this gate before
+        # the dot product below could overflow; a NaN or inf one fails it too.
+        length = math.hypot(w, x, y, z)
+        if not abs(length - 1.0) <= UNIT_NORM_TOL:
+            if not np.isfinite(q).all():
+                raise ValueError(f"quaternion components must be finite, got {q}")
+            raise ValueError(f"quaternion norm {length:.6g} too far from 1")
+        # Normalize by `np.linalg.norm`'s own 1-D formula for its exact bits;
+        # a sum of Python squares differs in the last bit on about 11% of
+        # near-unit inputs.
+        norm = math.sqrt(q.dot(q))
+        if w < 0.0:
+            norm = -norm
+        for name, value in zip("wxyz", (w, x, y, z)):
+            object.__setattr__(self, name, value / norm)
 
     @classmethod
     def identity(cls) -> UnitQuaternion:
@@ -84,9 +88,16 @@ def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
 def rotate(q: UnitQuaternion, v) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion (preserves the norm)."""
     vec = as_vec3(v)
-    qv = np.array([q.x, q.y, q.z])
-    t = 2.0 * np.cross(qv, vec)
-    return vec + q.w * t + np.cross(qv, t)
+    # v + w*t + qv x t with t = 2*(qv x v), written out on floats: each
+    # component takes the products and differences `np.cross` takes.
+    x, y, z = q.x, q.y, q.z
+    vx, vy, vz = vec.tolist()
+    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
+    return np.array([
+        vx + q.w * tx + (y * tz - z * ty),
+        vy + q.w * ty + (z * tx - x * tz),
+        vz + q.w * tz + (x * ty - y * tx),
+    ])
 
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:

@@ -5,6 +5,8 @@ azimuth alpha about the world z axis and a polar angle theta from the
 zenith. Each orientation composes a robot-specific alignment rotation
 (mapping the end-effector approach axis onto world z) with the azimuth
 and polar rotations, so the approach axis always points at the object.
+The grid forms all its orientation products in one broadcast and still
+matches the one-candidate-at-a-time quaternion chain bit for bit.
 """
 
 from __future__ import annotations
@@ -83,15 +85,26 @@ def sample_candidates(
     offsets = np.stack((np.outer(st, sa), np.outer(st, ca), np.outer(ct, np.ones_like(sa))), -1)
     positions = center + cfg.radius * offsets
     # Orientation align * Rz(alpha) * Ry(theta): both factors are built once
-    # per angle, then one product per candidate.
+    # per angle, then all products in one broadcast of `quat_mul`'s formula,
+    # with its operations in its order; `UnitQuaternion` then normalizes each
+    # row as `quat_mul` does, so every candidate gets the chain's bits.
     azimuths = [quat_mul(cfg.approach_alignment, quat_z(a)) for a in alphas]
     polars = [quat_y(t) for t in thetas]
+    aw, ax, ay, az = np.array([(q.w, q.x, q.y, q.z) for q in azimuths]).T[:, None, :]
+    bw, bx, by, bz = np.array([(q.w, q.x, q.y, q.z) for q in polars]).T[:, :, None]
+    products = np.stack((
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ), -1).tolist()
+    keep = (positions[..., 2] >= cfg.table_height).tolist()
 
     out = [
-        GraspCandidate(positions[i, j], quat_mul(azimuths[j], polars[i]), alpha, theta)
+        GraspCandidate(positions[i, j], UnitQuaternion(*products[i][j]), alpha, theta)
         for i, theta in enumerate(thetas)
         for j, alpha in enumerate(alphas)
-        if not positions[i, j, 2] < cfg.table_height
+        if keep[i][j]
     ]
     if not out:
         raise NoFeasibleCandidateError(

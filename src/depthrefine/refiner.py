@@ -28,7 +28,7 @@ from .geometry import (
     Pose,
     apply_sigma_to_pose,
 )
-from .renderer import DepthMap, TriangleMesh, render_depth
+from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,13 @@ def residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
     """Flat row-major int64 indices of the pixels valid in both maps.
 
     `DepthMap` guarantees that every valid depth is finite and positive,
-    so each index pairs two usable depths.
+    so each index pairs two usable depths. The rendered support is found
+    first and the measured map is read only there.
     """
     if real.data.shape != virtual.data.shape:
         raise ValueError("depth map shapes differ")
-    return np.flatnonzero(real.valid_mask & virtual.valid_mask)
+    support = pixel_support(virtual)
+    return support[real.data.ravel()[support] > 0.0]
 
 
 def objective(

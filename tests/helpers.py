@@ -24,6 +24,29 @@ def random_quaternion(rng: np.random.Generator) -> UnitQuaternion:
     return UnitQuaternion(w / n, x / n, y / n, z / n)
 
 
+def reference_normalize(w, x, y, z) -> tuple[float, float, float, float]:
+    """`np.linalg.norm` normalization and sign flip that `UnitQuaternion`
+    must match bit for bit on the inputs it accepts."""
+    q = np.array([w, x, y, z], dtype=np.float64)
+    q /= float(np.linalg.norm(q))
+    if q[0] < 0.0:
+        q = -q
+    return tuple(float(c) for c in q)
+
+
+def reference_rotate(q: UnitQuaternion, v) -> np.ndarray:
+    """`np.cross` form of the rotation that `rotate` must match bit for bit."""
+    vec = as_vec3(v)
+    qv = np.array([q.x, q.y, q.z])
+    t = 2.0 * np.cross(qv, vec)
+    return vec + q.w * t + np.cross(qv, t)
+
+
+def reference_residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
+    """Whole-frame pairing that `residual_samples` must match exactly."""
+    return np.flatnonzero(real.valid_mask & virtual.valid_mask)
+
+
 def write_obj(path, mesh: TriangleMesh) -> None:
     store_mesh(path, mesh)
 

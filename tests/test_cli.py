@@ -8,6 +8,7 @@ scene, 5 no feasible candidate.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,33 @@ class TestRefine:
         argv, out = self.refine_args(workspace, depth_path, flag, "inf")
         assert main(argv) == EXIT_INVALID_INPUT
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e-45", "1e40"])
+    def test_depth_scale_outside_float32_exits_2(self, workspace, capsys, value):
+        # 1e-45 underflowed every depth to 0 and exited 3, blaming the
+        # scene; 1e40 overflowed the float32 cast with a RuntimeWarning.
+        tmp_path, _, _ = workspace
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, render_fixture_depth())
+        argv, out = self.refine_args(workspace, depth_path, "--depth-scale", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_INVALID_INPUT
+        assert "--depth-scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_scale_product_overflow_exits_2(self, workspace):
+        # In range, but 2 m times 3e38 exceeds float32: the product is inf
+        # and DepthMap rejects it, with no warning on the way.
+        tmp_path, _, _ = workspace
+        measured = render_fixture_depth()
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, DepthMap(measured.width, measured.height, 4 * measured.data))
+        argv, out = self.refine_args(workspace, depth_path, "--depth-scale", "3e38")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_INVALID_INPUT
         assert not out.exists()
 
     def test_sensor_holes_refine(self, workspace):

@@ -1,9 +1,12 @@
 """Quaternion algebra, poses, projection, and the slide-and-scale transform."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrefine import (
     CameraIntrinsics,
@@ -15,7 +18,7 @@ from depthrefine import (
     transform_point,
 )
 from depthrefine.geometry import project, quat_to_matrix, quat_y, quat_z, rotate
-from helpers import random_quaternion
+from helpers import random_quaternion, reference_normalize, reference_rotate
 
 
 class TestUnitQuaternion:
@@ -32,8 +35,38 @@ class TestUnitQuaternion:
             UnitQuaternion(0.5, 0.0, 0.0, 0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            UnitQuaternion(float("nan"), 0.0, 0.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for slot in range(4):
+                q = [0.5, 0.5, 0.5, 0.5]
+                q[slot] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    UnitQuaternion(*q)
+
+    @pytest.mark.parametrize("huge", [1e200, -1e200, 1.7e308])
+    def test_huge_component_rejected_without_warning(self, huge):
+        # Squaring 1e200 overflows; the norm check must not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too far from 1"):
+                UnitQuaternion(0.5, huge, 0.5, 0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        stretch=st.floats(-9e-4, 9e-4),
+        negate_w=st.booleans(),
+    )
+    def test_normalization_matches_linalg_norm_oracle(self, direction, stretch, negate_w):
+        # Near-unit inputs of either sign of w normalize to the bits of the
+        # `np.linalg.norm` form, sign flip included.
+        length = math.sqrt(sum(c * c for c in direction))
+        if length < 1e-3:
+            return
+        w, x, y, z = (c * (1.0 + stretch) / length for c in direction)
+        w = -abs(w) if negate_w else abs(w)
+        got = UnitQuaternion(w, x, y, z)
+        want = reference_normalize(w, x, y, z)
+        assert np.array([got.w, got.x, got.y, got.z]).tobytes() == np.array(want).tobytes()
 
     def test_canonical_sign(self):
         q = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
@@ -95,6 +128,13 @@ class TestRotate:
             got = rotate(q, v)
             assert np.abs(got - quat_to_matrix(q) @ v).max() < 1e-9
             assert math.isclose(np.linalg.norm(got), np.linalg.norm(v), rel_tol=1e-9)
+
+    def test_matches_cross_product_oracle_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            q = random_quaternion(rng)
+            v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+            assert rotate(q, v).tobytes() == reference_rotate(q, v).tobytes()
 
 
 class TestPose:

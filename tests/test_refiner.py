@@ -29,6 +29,7 @@ from depthrefine import (
 from depthrefine.geometry import quat_x
 from depthrefine.refiner import objective, ransac_inliers, residual_samples
 import depthrefine.refiner as refiner_module
+from helpers import reference_residual_samples
 
 INTR = DEFAULT_INTRINSICS
 
@@ -140,6 +141,28 @@ class TestResidualSamples:
         assert pairs.tolist() == [1]  # flat index of (0, 1)
         assert a.ravel()[pairs].tolist() == [pytest.approx(0.5)]
         assert b.ravel()[pairs].tolist() == [pytest.approx(0.55)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        real_holes=st.floats(0.0, 1.0),
+        virtual_holes=st.floats(0.0, 1.0),
+    )
+    def test_matches_whole_frame_oracle(self, seed, height, width, real_holes, virtual_holes):
+        # Reading the measured map only on the rendered support gives the
+        # same ascending indices as masking the whole frame.
+        rng = np.random.default_rng(seed)
+        real, virtual = (
+            DepthMap(width, height, np.where(
+                rng.random((height, width)) < holes, 0.0, rng.uniform(0.1, 2.0, (height, width))
+            ).astype(np.float32))
+            for holes in (real_holes, virtual_holes)
+        )
+        got = residual_samples(real, virtual)
+        assert got.dtype == np.int64
+        assert got.tobytes() == reference_residual_samples(real, virtual).tobytes()
 
     def test_shape_mismatch_rejected(self):
         a = DepthMap(3, 2, np.ones((2, 3), dtype=np.float32))
