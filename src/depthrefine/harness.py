@@ -196,7 +196,9 @@ def generate_scene(
     optional per-vertex shape noise (uniform, applied only to the
     ground-truth render, never to the model the refiner sees). The
     occluder overwrites its region where it is nearer; Gaussian depth
-    noise lands on every valid pixel. Deterministic per seed. Raises
+    noise lands on every valid pixel. Only the rendered support is worked
+    on, in float64, and scattered once into a zero float32 frame; every
+    pixel off it stays invalid. Deterministic per seed. Raises
     ValueError when the camera sees no pixel of the object or the
     occluder hides none of its region.
     """
@@ -209,29 +211,33 @@ def generate_scene(
         gt_mesh = TriangleMesh(mesh.vertices + jitter, mesh.triangles)
 
     rendered = render_depth(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
-    if not rendered.valid_mask.any():
+    support = pixel_support(rendered)
+    if support.size == 0:
         raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
-    data = rendered.data.astype(np.float64)
+    depths = rendered.data.ravel()[support].astype(np.float64)
 
     if spec.occluder is not None:
-        region = leftmost_region(pixel_support(rendered), intr.width, spec.occluder.fraction)
+        region = leftmost_region(support, intr.width, spec.occluder.fraction)
         # The region lies inside the support, where every depth is above 0,
         # so the nearer of object and occluder is the minimum.
-        flat = data.reshape(-1)
-        covered = flat[region]
+        at = np.searchsorted(support, region)
+        covered = depths[at]
         if not np.any(covered > spec.occluder.depth):
             raise ValueError(
                 f"scene {spec.scene_id!r}: the occluder at depth {spec.occluder.depth} "
                 "is nearer than the object on no pixel of its region"
             )
-        flat[region] = np.minimum(covered, spec.occluder.depth)
+        depths[at] = np.minimum(covered, spec.occluder.depth)
 
+    # An occluder's depth is positive, so the valid pixels are still exactly
+    # the support: one noise draw per valid pixel, in row-major order.
     if spec.depth_noise > 0.0:
-        valid = data > 0.0
-        noisy = data[valid] + rng.normal(0.0, spec.depth_noise, int(valid.sum()))
-        data[valid] = np.maximum(noisy, MIN_VALID_DEPTH)
+        noise = rng.normal(0.0, spec.depth_noise, support.size)
+        depths = np.maximum(depths + noise, MIN_VALID_DEPTH)
 
-    real = DepthMap(intr.width, intr.height, data.astype(np.float32))
+    data = np.zeros(intr.width * intr.height, dtype=np.float32)
+    data[support] = depths
+    real = DepthMap(intr.width, intr.height, data.reshape(intr.height, intr.width))
     return real, simulate_rgb_estimate(spec.true_pose, spec.true_scale)
 
 

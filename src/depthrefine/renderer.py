@@ -11,10 +11,13 @@ visibility.
 Fragments are expanded in two levels: the rows of each triangle's
 pixel-center box, then the columns of each row, by `np.repeat` over the
 triangles in order. The part of an edge function that depends only on the
-row is computed once per row. Per-triangle corner data is kept as
-C-ordered (3, T) arrays: gathering through a plain `triangles.T` gives
-F-ordered ones, on which every reduction over the corners is several times
-slower.
+row is computed once per row. The fragment stage runs inside one helper:
+each edge function is computed in place in one buffer, every
+fragment-sized array is freed once used, and none outlives the helper, so
+none is alive when the z-buffer is allocated. Per-triangle corner data is
+kept as C-ordered (3, T) arrays: gathering through a plain `triangles.T`
+gives F-ordered ones, on which every reduction over the corners is several
+times slower.
 """
 
 from __future__ import annotations
@@ -154,47 +157,70 @@ def render_depth(
         (a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2]))
         for a in (x, y, tri)
     )
-
-    # Rows of each box, then one fragment per pixel center of each row: py
-    # counts up from each box's top row, px from each row's first column.
-    counts = bw * bh
-    py = np.arange(int(bh.sum())) + np.repeat(py_lo - (np.cumsum(bh) - bh), bh)
-    cw = np.repeat(bw, bh)
-    px = np.arange(int(cw.sum())) + np.repeat(np.repeat(px_lo, bh) - (np.cumsum(cw) - cw), cw)
-    cv = py + c
-    cu = px + c
-
-    # Edge functions with the top-left fill rule: with v down and positive
-    # orientation, a "top" edge runs rightward at constant v, a "left" edge
-    # runs upward. `e >= thr`, with thr the smallest positive double off
-    # top-left edges, is `(e > 0) | ((e == 0) & top_left)` in one comparison.
-    tiny = np.nextafter(0.0, 1.0)
-    inside = np.ones(px.shape[0], dtype=bool)
-    edges = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        dx, dy = x[j] - x[i], y[j] - y[i]
-        row = np.repeat(dx, bh) * (cv - np.repeat(y[i], bh))
-        e = np.repeat(row, cw) - np.repeat(dy, counts) * (cu - np.repeat(x[i], counts))
-        thr = np.where(((dy == 0.0) & (dx > 0.0)) | (dy < 0.0), 0.0, tiny)
-        inside &= e >= np.repeat(thr, counts)
-        edges.append(e)
-    keep = np.flatnonzero(inside)
-    e01, e12, e20 = (e.take(keep) for e in edges)
-
-    # Screen barycentrics weight the opposite corner; interpolating 1/z is
-    # exact for planar triangles.
-    t = np.repeat(np.arange(counts.shape[0]), counts).take(keep)
     rz = over_z(1.0)
-    inv_z = (e12 * rz[tri[0]][t] + e20 * rz[tri[1]][t] + e01 * rz[tri[2]][t]) / area2[t]
-    flat = (np.repeat(py * w, cw) + px).take(keep)
+    flat, depth = _fragments(x, y, [rz[k] for k in tri], area2, px_lo, py_lo, bw, bh, w)
 
     # Rounding to float32 is monotone, so taking the minimum after rounding
     # stores the same value as rounding the float64 minimum. Uncovered pixels
     # keep 0.0, the invalid depth; only covered ones start from +inf.
     zbuf = np.zeros(w * h, dtype=np.float32)
     zbuf[flat] = np.inf
-    np.minimum.at(zbuf, flat, (1.0 / inv_z).astype(np.float32))
+    np.minimum.at(zbuf, flat, depth)
     return DepthMap(w, h, zbuf.reshape(h, w))
+
+
+def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, w):
+    """Flat pixel indices and float32 depths of the covered pixel centers.
+
+    Takes positively oriented triangles as corner arrays `x`, `y` (screen
+    position) and `rz` (1/z), twice their areas, and their clipped
+    pixel-center boxes: top-left corner `px_lo`, `py_lo`, size `bw` x `bh`.
+    Rows are `w` pixels wide. Every fragment-sized array is freed as soon
+    as it has been used.
+    """
+    c = PIXEL_CENTER_OFFSET
+
+    # Rows of each box, then one fragment per pixel center of each row: py
+    # counts up from each box's top row, the column from each row's first
+    # one. The column buffer becomes the flat index once `cu` is formed.
+    counts = bw * bh
+    py = np.arange(int(bh.sum())) + np.repeat(py_lo - (np.cumsum(bh) - bh), bh)
+    cw = np.repeat(bw, bh)
+    flat = np.arange(int(cw.sum())) + np.repeat(np.repeat(px_lo, bh) - (np.cumsum(cw) - cw), cw)
+    cu = flat + c
+    flat += np.repeat(py * w, cw)
+    cv = py + c
+
+    # Edge functions with the top-left fill rule: with v down and positive
+    # orientation, a "top" edge runs rightward at constant v, a "left" edge
+    # runs upward. `e >= thr`, with thr the smallest positive double off
+    # top-left edges, is `(e > 0) | ((e == 0) & top_left)` in one comparison.
+    # Each edge is `row - dy * (cu - x_i)`, evaluated in place in one buffer.
+    tiny = np.nextafter(0.0, 1.0)
+    inside = np.ones(flat.shape[0], dtype=bool)
+    edges = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        row = np.repeat(dx, bh) * (cv - np.repeat(y[i], bh))
+        e = np.repeat(x[i], counts)
+        np.subtract(cu, e, out=e)
+        e *= np.repeat(dy, counts)
+        np.subtract(np.repeat(row, cw), e, out=e)
+        thr = np.where(((dy == 0.0) & (dx > 0.0)) | (dy < 0.0), 0.0, tiny)
+        inside &= e >= np.repeat(thr, counts)
+        edges.append(e)
+    del cu, e
+    keep = np.flatnonzero(inside)
+    del inside
+    flat = flat.take(keep)
+    e01, e12, e20 = (e.take(keep) for e in edges)
+    del edges
+
+    # Screen barycentrics weight the opposite corner; interpolating 1/z is
+    # exact for planar triangles.
+    t = np.repeat(np.arange(counts.shape[0]), counts).take(keep)
+    inv_z = (e12 * rz[0][t] + e20 * rz[1][t] + e01 * rz[2][t]) / area2[t]
+    return flat, (1.0 / inv_z).astype(np.float32)
 
 
 def pixel_support(d: DepthMap) -> np.ndarray:

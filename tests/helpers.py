@@ -6,7 +6,14 @@ import numpy as np
 
 from depthrefine import DepthMap, TriangleMesh, UnitQuaternion, store_mesh
 from depthrefine.geometry import as_vec3, quat_mul, quat_to_matrix, quat_y, quat_z
-from depthrefine.renderer import NEAR_PLANE, PIXEL_CENTER_OFFSET
+from depthrefine.harness import (
+    DEFAULT_INTRINSICS,
+    MIN_VALID_DEPTH,
+    builtin_model,
+    leftmost_region,
+    simulate_rgb_estimate,
+)
+from depthrefine.renderer import NEAR_PLANE, PIXEL_CENTER_OFFSET, pixel_support, render_depth
 
 
 def square_mesh(half: float = 0.1) -> TriangleMesh:
@@ -121,6 +128,43 @@ def reference_render_depth(mesh, pose, intr, scale: float = 1.0) -> DepthMap:
     np.minimum.at(zbuf, flat, (1.0 / inv_z).astype(np.float32))
     zbuf[zbuf == np.inf] = 0.0
     return DepthMap(w, h, zbuf.reshape(h, w))
+
+
+def reference_generate_scene(spec, intr=DEFAULT_INTRINSICS):
+    """Full-frame float64 scene build that `generate_scene` must match byte
+    for byte: the occluder and the noise are applied through whole-frame
+    masks."""
+    mesh, _ = builtin_model(spec.mesh_id)
+    rng = np.random.default_rng(spec.seed)
+
+    gt_mesh = mesh
+    if spec.shape_noise > 0.0:
+        jitter = rng.uniform(-spec.shape_noise, spec.shape_noise, mesh.vertices.shape)
+        gt_mesh = TriangleMesh(mesh.vertices + jitter, mesh.triangles)
+
+    rendered = render_depth(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
+    if not rendered.valid_mask.any():
+        raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
+    data = rendered.data.astype(np.float64)
+
+    if spec.occluder is not None:
+        region = leftmost_region(pixel_support(rendered), intr.width, spec.occluder.fraction)
+        flat = data.reshape(-1)
+        covered = flat[region]
+        if not np.any(covered > spec.occluder.depth):
+            raise ValueError(
+                f"scene {spec.scene_id!r}: the occluder at depth {spec.occluder.depth} "
+                "is nearer than the object on no pixel of its region"
+            )
+        flat[region] = np.minimum(covered, spec.occluder.depth)
+
+    if spec.depth_noise > 0.0:
+        valid = data > 0.0
+        noisy = data[valid] + rng.normal(0.0, spec.depth_noise, int(valid.sum()))
+        data[valid] = np.maximum(noisy, MIN_VALID_DEPTH)
+
+    real = DepthMap(intr.width, intr.height, data.astype(np.float32))
+    return real, simulate_rgb_estimate(spec.true_pose, spec.true_scale)
 
 
 def candidate_position(center, radius: float, alpha: float, theta: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Synthetic scenes, the simulated scale-blind estimator, and the metrics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from depthrefine.harness import (
     simulate_rgb_estimate,
     summary_table,
 )
-from helpers import reference_ellipsoid_mesh
+from helpers import reference_ellipsoid_mesh, reference_generate_scene
 
 INTR = DEFAULT_INTRINSICS
 
@@ -179,6 +180,30 @@ class TestGenerateScene:
         assert 0.0005 < np.std(diff) < 0.01
         assert not np.array_equal(real.data, gt.data)
 
+    @pytest.mark.parametrize("mesh_id", ["apple", "sphere", "cube"])
+    def test_matches_full_frame_oracle(self, mesh_id):
+        grid = itertools.product((0.0, 0.2, 0.6), (0.0, 0.002), (0.0, 0.002), (4, 9))
+        for occluder_fraction, depth_noise, shape_noise, seed in grid:
+            spec = tabletop_scene(
+                "t", 0.85, mesh_id=mesh_id, occluder_fraction=occluder_fraction,
+                depth_noise=depth_noise, shape_noise=shape_noise, seed=seed,
+            )
+            real, coarse = generate_scene(spec)
+            want, want_coarse = reference_generate_scene(spec)
+            assert real.data.tobytes() == want.data.tobytes(), spec
+            assert coarse.position.tobytes() == want_coarse.position.tobytes()
+            assert coarse.orientation == want_coarse.orientation
+
+    def test_errors_match_full_frame_oracle(self):
+        unseen = tabletop_scene("unseen", 0.8, object_depth=1e6)
+        hidden = tabletop_scene("hidden", 0.8, occluder_fraction=0.2, occluder_offset=-0.2)
+        for spec, match in ((unseen, "covers no pixel"), (hidden, "nearer than the object on no pixel")):
+            with pytest.raises(ValueError, match=match) as want:
+                reference_generate_scene(spec)
+            with pytest.raises(ValueError) as got:
+                generate_scene(spec)
+            assert str(got.value) == str(want.value)
+
     def test_spec_validation(self):
         base = tabletop_scene("t", 0.8)
         with pytest.raises(ValueError):
@@ -322,9 +347,9 @@ class TestRunSweep:
         assert max(r.dimensional_error for r in records) <= 0.005
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2, part 2: with 60% of the object occluded the plane wins "
-        "the consensus and 4 of 5 scenes report success 17-22 mm off; a "
-        "free-space bound would turn them into DegenerateSceneError"))
+        "ROADMAP item 3: with 60% of the object occluded the plane wins "
+        "the consensus and 4 of 5 scenes report success 17-22 mm off; the "
+        "farthest-mode consensus would pick the object instead"))
     def test_sixty_percent_occluded_sweep_never_silently_wrong(self):
         records, _ = run_sweep(default_sweep(seed=5, occluder_fraction=0.6, depth_noise=0.002))
         assert all(r.dimensional_error <= 0.005 for r in records if r.success)
