@@ -4,11 +4,12 @@ OBJ support is the ASCII subset with `v` and `f` records; polygonal faces
 are fan-triangulated and vertices are re-centered on load so the model
 centroid sits at the origin (the invariant point of the scale transform).
 A plain file of `v x y z` lines then `f a b c` lines, as store_mesh
-writes it, is parsed in bulk; every other file goes through the line
-parser, and both give the same arrays. Depth maps use grayscale PFM
-(`Pf`), little-endian, meters, with 0.0 as the invalid sentinel (NaN and
-inf pixels load as 0.0); round-trips are bit-exact. Poses, intrinsics,
-and model dimensions travel in one JSON document.
+writes it, passes one layout check over the whole buffer and is parsed
+in bulk; every other file goes through the line parser, and both give
+the same arrays. Depth maps use grayscale PFM (`Pf`), little-endian,
+meters, with 0.0 as the invalid sentinel (NaN and inf pixels load as
+0.0); round-trips are bit-exact. Poses, intrinsics, and model dimensions
+travel in one JSON document.
 """
 
 from __future__ import annotations
@@ -47,38 +48,58 @@ def load_mesh(path) -> TriangleMesh:
         mesh = TriangleMesh(*parsed)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
-    # Validated first, so no non-finite vertex reaches the mean.
+    # Validated first, so no non-finite vertex reaches the mean. The parsed
+    # array is the mesh's own, so it is re-centered in place.
     offset = mesh.vertices.mean(axis=0)
+    np.subtract(mesh.vertices, offset, out=mesh.vertices)
     log.info(
         "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
         path.name, len(mesh.vertices), len(mesh.triangles), *offset,
     )
-    return TriangleMesh(mesh.vertices - offset, mesh.triangles)
+    return mesh
 
 
 def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse store_mesh's layout (only `v x y z` lines, then only `f a b c`
     lines) with one np.fromstring per block.
 
-    Returns (vertices, 0-based triangles), or None whenever the arrays
-    could differ from _parse_obj_lines': any other layout (comments, other
-    records, bundles, polygons, signed indices, tabs, CR, non-ASCII bytes),
-    a token numpy reads other than as one whole number, or an index
-    outside 1..vertex count. Coordinates that overflow read as inf in both.
+    One layout check covers the whole buffer: deleting the number
+    characters must leave `v   ` lines then `f   ` lines, every tag must
+    open its line and be followed by a space, and the face lines must hold
+    digits only. Returns (vertices, 0-based triangles), or None whenever
+    the arrays could differ from _parse_obj_lines': any other layout
+    (comments, other records, bundles, polygons, signed indices, tabs, CR,
+    non-ASCII bytes), a token numpy reads other than as one whole number,
+    or an index outside 1..vertex count. Coordinates that overflow read as
+    inf in both.
     """
-    split = buf.find(b"\nf ") + 1
-    v_block, f_block = buf[:split], buf[split:]
-    n_v = _plain_lines(v_block, b"v", b"0123456789+-.eE")
-    n_f = _plain_lines(f_block, b"f", b"0123456789")
-    if n_v < 1 or n_f < 1:
+    # Deleting the values leaves each line's tag, three spaces and LF.
+    skeleton = buf.translate(None, b"0123456789+-.eE")
+    n_v = skeleton.find(b"f") // 5
+    n_f = len(skeleton) // 5 - n_v
+    if n_v < 1 or n_f < 1 or skeleton != b"v   \n" * n_v + b"f   \n" * n_f:
+        return None
+    # The buffer now holds only values, tags, spaces and LF, and of these
+    # only the two tags sort above `e`.
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    tags = np.flatnonzero(raw > ord("e"))
+    before, after = raw[tags[1:] - 1], raw[tags + 1]
+    if tags[0] != 0 or (before != ord("\n")).any() or (after != ord(" ")).any():
+        return None
+    # With each tag alone between a line start and a space, a space in its
+    # place leaves the same tokens.
+    text = buf.translate(bytes.maketrans(b"vf", b"  "))
+    split = tags[n_v]
+    v_text, f_text = text[:split], text[split:]
+    if any(c in f_text for c in b"+-.eE"):
         return None
     try:
         # On unmatched data numpy 2 raises ValueError; numpy < 2 warns with
         # a DeprecationWarning and truncates, which the counts also catch.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            vertices = np.fromstring(v_block.translate(None, b"v"), sep=" ")
-            indices = np.fromstring(f_block.translate(None, b"f"), dtype=np.int64, sep=" ")
+            vertices = np.fromstring(v_text, sep=" ")
+            indices = np.fromstring(f_text, dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):
         return None
     # Each line has three spaces after its tag, so these totals hold only
@@ -89,25 +110,6 @@ def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if indices.min() < 1 or indices.max() > n_v:
         return None
     return vertices.reshape(n_v, 3), indices.reshape(n_f, 3) - 1
-
-
-def _plain_lines(block: bytes, tag: bytes, number_chars: bytes) -> int:
-    """Count the lines of `block` if each is `<tag>` and three values made
-    of `number_chars`, split by single spaces and ended by LF; else -1.
-
-    A value left empty is not caught here: it shows as a short count
-    once the block is parsed.
-    """
-    n = block.count(b"\n")
-    if (
-        # Deleting the values leaves each line's tag, three spaces and LF.
-        block.translate(None, number_chars) != (tag + b"   \n") * n
-        # Each line opens with the tag alone.
-        or not block.startswith(tag + b" ")
-        or block.count(b"\n" + tag + b" ") != n - 1
-    ):
-        return -1
-    return n
 
 
 def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -264,10 +266,14 @@ def _pose_doc(pose: Pose) -> dict:
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` as 2-space-indented JSON with a trailing newline."""
+    """Write `doc` as 2-space-indented JSON with a trailing newline.
+
+    The text is built first, so a document json cannot encode raises
+    TypeError before any file is created.
+    """
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def store_scene_config(

@@ -72,9 +72,6 @@ class UnitQuaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
 
-    def conjugate(self) -> UnitQuaternion:
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
 
 def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a * b, renormalized and sign-canonicalized."""
@@ -220,13 +217,3 @@ def apply_sigma_to_pose(pose: Pose, sigma: float) -> tuple[Pose, float]:
             f"|sigma|={abs(sigma):.6g} must stay below the position distance {norm:.6g}"
         )
     return Pose(p - sigma * (p / norm), pose.orientation), 1.0 - sigma / norm
-
-
-def project(intr: CameraIntrinsics, point) -> tuple[float, float, float]:
-    """Pinhole projection of a camera-frame point to (u, v, depth)."""
-    p = as_vec3(point)
-    if p[2] <= 0.0:
-        raise ValueError(f"point with z={p[2]:.6g} is behind the camera")
-    u = intr.fx * p[0] / p[2] + intr.cx
-    v = intr.fy * p[1] / p[2] + intr.cy
-    return float(u), float(v), float(p[2])

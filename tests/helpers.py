@@ -1,10 +1,12 @@
 """Shared fixtures-as-functions for the test suite."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 
-from depthrefine import DepthMap, TriangleMesh, UnitQuaternion, store_mesh
+from depthrefine import CameraIntrinsics, DepthMap, TriangleMesh, UnitQuaternion, store_mesh
 from depthrefine.geometry import as_vec3, quat_mul, quat_to_matrix, quat_y, quat_z
 from depthrefine.harness import (
     DEFAULT_INTRINSICS,
@@ -29,6 +31,21 @@ def random_quaternion(rng: np.random.Generator) -> UnitQuaternion:
     w, x, y, z = rng.normal(size=4)
     n = (w * w + x * x + y * y + z * z) ** 0.5
     return UnitQuaternion(w / n, x / n, y / n, z / n)
+
+
+def conjugate(q: UnitQuaternion) -> UnitQuaternion:
+    """The inverse rotation of a unit quaternion."""
+    return UnitQuaternion(q.w, -q.x, -q.y, -q.z)
+
+
+def project(intr: CameraIntrinsics, point) -> tuple[float, float, float]:
+    """Pinhole projection of a camera-frame point to (u, v, depth)."""
+    p = as_vec3(point)
+    if p[2] <= 0.0:
+        raise ValueError(f"point with z={p[2]:.6g} is behind the camera")
+    u = intr.fx * p[0] / p[2] + intr.cx
+    v = intr.fy * p[1] / p[2] + intr.cy
+    return float(u), float(v), float(p[2])
 
 
 def reference_normalize(w, x, y, z) -> tuple[float, float, float, float]:
@@ -56,6 +73,54 @@ def reference_residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
 
 def write_obj(path, mesh: TriangleMesh) -> None:
     store_mesh(path, mesh)
+
+
+def reference_write_json(path, doc) -> None:
+    """Streamed JSON writer whose bytes `write_json` must match."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def reference_parse_plain_obj(buf: bytes):
+    """Per-block layout checks whose None-or-arrays outcome
+    `fileio._parse_plain_obj` must match bit for bit.
+
+    The buffer splits at the first line that opens with `f `; each block
+    must be lines of its tag and three values of its number characters, and
+    is then parsed with np.fromstring.
+    """
+    split = buf.find(b"\nf ") + 1
+    v_block, f_block = buf[:split], buf[split:]
+    n_v = _reference_plain_lines(v_block, b"v", b"0123456789+-.eE")
+    n_f = _reference_plain_lines(f_block, b"f", b"0123456789")
+    if n_v < 1 or n_f < 1:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            vertices = np.fromstring(v_block.translate(None, b"v"), sep=" ")
+            indices = np.fromstring(f_block.translate(None, b"f"), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if vertices.size != 3 * n_v or indices.size != 3 * n_f:
+        return None
+    if indices.min() < 1 or indices.max() > n_v:
+        return None
+    return vertices.reshape(n_v, 3), indices.reshape(n_f, 3) - 1
+
+
+def _reference_plain_lines(block: bytes, tag: bytes, number_chars: bytes) -> int:
+    """The line count of `block` if each line is `<tag>` and three values
+    of `number_chars` split by single spaces and ended by LF; else -1."""
+    n = block.count(b"\n")
+    if (
+        block.translate(None, number_chars) != (tag + b"   \n") * n
+        or not block.startswith(tag + b" ")
+        or block.count(b"\n" + tag + b" ") != n - 1
+    ):
+        return -1
+    return n
 
 
 def reference_render_depth(mesh, pose, intr, scale: float = 1.0) -> DepthMap:

@@ -9,6 +9,7 @@ scene, 5 no feasible candidate.
 import dataclasses
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,10 +46,11 @@ from depthrefine import (
     tabletop_scene,
     transform_point,
 )
+from depthrefine import cli, fileio
 from depthrefine.cli import main
 from depthrefine.harness import builtin_model
 
-from helpers import square_mesh, write_obj
+from helpers import reference_write_json, square_mesh, write_obj
 
 INTRINSICS = CameraIntrinsics(fx=150.0, fy=150.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -204,6 +206,30 @@ class TestRefine:
         result = json.loads(out.read_text())
         expected = transform_point(extr, np.asarray(result["refined_position"]))
         assert result["refined_position_world"] == pytest.approx(list(expected), abs=1e-12)
+
+    def test_documents_match_streamed_json_dump(self, workspace, tmp_path):
+        _, obj, _ = workspace
+        scene = tmp_path / "scene_world.json"
+        scene.write_text(json.dumps(scene_doc(world_T_camera={
+            "position": [0.1, -0.2, 1.0],
+            "orientation": [0.0, 1.0, 0.0, 0.0],
+        })))
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, render_fixture_depth(scale=0.9))
+        runs = [
+            ["refine", "--mesh", obj, "--scene", str(scene),
+             "--depth", str(depth_path), "--out", str(tmp_path / "result.json")],
+            ["sample-grasps", "--position", "0.0", "0.0", "0.032", "--radius", "0.15",
+             "--out", str(tmp_path / "grasps.json")],
+        ]
+        with mock.patch.object(cli, "write_json", wraps=fileio.write_json) as spy:
+            for argv in runs:
+                assert main(argv) == EXIT_OK
+        assert spy.call_count == len(runs)
+        want = tmp_path / "want.json"
+        for (path, doc), _ in spy.call_args_list:
+            reference_write_json(want, doc)
+            assert open(path, "rb").read() == want.read_bytes()
 
     def test_depth_scale_flag(self, workspace):
         tmp_path, _, _ = workspace

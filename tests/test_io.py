@@ -29,7 +29,12 @@ from depthrefine import (
 from depthrefine.geometry import quat_x
 from depthrefine import fileio
 from depthrefine.fileio import MAX_PFM_PIXELS
-from helpers import square_mesh, write_obj
+from helpers import (
+    reference_parse_plain_obj,
+    reference_write_json,
+    square_mesh,
+    write_obj,
+)
 
 CUBE_OBJ = """\
 # unit-ish cube
@@ -197,6 +202,19 @@ def _glue_tag(text: str, k: int) -> str:
     return "".join(lines)
 
 
+def _digit_before_tag(text: str, k: int) -> str:
+    """Put a digit before the k-th `v` tag and drop the middle value of the
+    next `v` line, leaving a double space: the skeleton and the value count
+    stay store_mesh's, and the line parser skips the prefixed line."""
+    lines = text.splitlines(keepends=True)
+    vs = [i for i, line in enumerate(lines) if line.startswith("v ")]
+    prefixed, doubled = vs[k], vs[(k + 1) % len(vs)]
+    lines[prefixed] = "7" + lines[prefixed]
+    tag, x, _, z = lines[doubled].split()
+    lines[doubled] = f"{tag} {x}  {z}\n"
+    return "".join(lines)
+
+
 def _replace_first(text: str, tag: str, token: str) -> str:
     """Swap the first value of the first `tag` line for `token`."""
     return re.sub(rf"(?m)^{tag} \S+", lambda m: f"{tag} {token}", text, count=1)
@@ -218,6 +236,9 @@ FALLBACK_REWRITES = {
     "glued first tag": lambda t, n, tok: _glue_tag(t, 0),
     "glued last tag": lambda t, n, tok: _glue_tag(t, -1),
     "face first": lambda t, n, tok: _face_first(t),
+    "digit before first tag": lambda t, n, tok: _digit_before_tag(t, 0),
+    "digit before last tag": lambda t, n, tok: _digit_before_tag(t, -1),
+    "plus-signed indices": lambda t, n, tok: _edit_lines(t, "f", lambda ix: [f"+{i}" for i in ix]),
     "nan(123)": lambda t, n, tok: _replace_first(t, "v", "nan(123)"),
     "int64 overflow": lambda t, n, tok: _replace_first(t, "f", "9223372036854775808"),
 }
@@ -267,6 +288,93 @@ class TestBulkObjMatchesLineParser:
                 assert np.array_equal(got[1], want[1]), name
             else:
                 assert got == want, name
+
+
+# One-byte edits: (kind, position, byte), the position taken modulo the length.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace")),
+        st.integers(0, 2**16),
+        st.sampled_from(b"vf +-.eE0\n\t"),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _apply_edits(buf: bytes, edits) -> bytes:
+    for kind, pos, byte in edits:
+        k = pos % (len(buf) + 1)
+        if kind == "insert":
+            buf = buf[:k] + bytes([byte]) + buf[k:]
+        elif k < len(buf):
+            buf = buf[:k] + (bytes([byte]) if kind == "replace" else b"") + buf[k + 1:]
+    return buf
+
+
+def _assert_same_parse(buf: bytes, name: str) -> None:
+    got, want = fileio._parse_plain_obj(buf), reference_parse_plain_obj(buf)
+    if want is None:
+        assert got is None, name
+        return
+    assert got is not None, name
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+class TestPlainObjMatchesReference:
+    """The one-pass layout check takes exactly the files the per-block
+    checks took, and reads them to the same bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        mesh=meshes(),
+        token=st.text(alphabet="0123456789+-.eE", min_size=1, max_size=7),
+        base=st.sampled_from(["plain", *FALLBACK_REWRITES, *TOKEN_REWRITES]),
+        edits=EDITS,
+    )
+    def test_none_where_reference_is(self, tmp_path_factory, mesh, token, base, edits):
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        store_mesh(path, mesh)
+        text = path.read_text()
+        cases = {"plain": text}
+        for name, rewrite in {**FALLBACK_REWRITES, **TOKEN_REWRITES}.items():
+            cases[name] = rewrite(text, len(mesh.vertices), token)
+        for name, case in cases.items():
+            _assert_same_parse(case.encode("utf-8"), name)
+        _assert_same_parse(_apply_edits(cases[base].encode("utf-8"), edits), f"{base} {edits}")
+
+    def test_digit_before_tag_refused_by_tag_check_alone(self, tmp_path):
+        path = tmp_path / "m.obj"
+        mesh = TriangleMesh(np.arange(12.0).reshape(4, 3), np.array([[0, 1, 2], [0, 2, 3]]))
+        store_mesh(path, mesh)
+        plain = path.read_bytes()
+        digits = b"0123456789+-.eE"
+        for k in (0, 1, -1):
+            buf = _digit_before_tag(plain.decode("utf-8"), k).encode("utf-8")
+            # The skeleton and the value count match store_mesh's layout.
+            assert buf.translate(None, digits) == plain.translate(None, digits)
+            assert np.fromstring(buf.translate(None, b"vf"), sep=" ").size == 3 * (4 + 2)
+            assert fileio._parse_plain_obj(buf) is None
+            assert reference_parse_plain_obj(buf) is None
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("doc", [
+        {"zero": -0.0, "tiny": 1e-300, "nested": [[1, [2.5, []]], {"a": [-0.0, {}]}]},
+        [-0.0, 1e-300, [[[]]], "text", None, True],
+        -0.0,
+    ], ids=["dict", "list", "scalar"])
+    def test_bytes_match_streamed_dump(self, tmp_path, doc):
+        fileio.write_json(tmp_path / "got.json", doc)
+        reference_write_json(tmp_path / "want.json", doc)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_unserializable_doc_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            fileio.write_json(path, {"position": [0.0, 1.0], "bad": object()})
+        assert not path.exists()
 
 
 class TestPfm:

@@ -20,14 +20,14 @@ from depthrefine import (
     pixel_support,
     render_depth,
 )
-from depthrefine.geometry import project, quat_x
+from depthrefine.geometry import quat_x
 from depthrefine.harness import (
     default_sweep,
     ellipsoid_mesh,
     generate_scene,
     simulate_rgb_estimate,
 )
-from helpers import random_quaternion, reference_render_depth, square_mesh
+from helpers import project, random_quaternion, reference_render_depth, square_mesh
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
