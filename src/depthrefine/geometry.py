@@ -27,7 +27,8 @@ def as_vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # `math.isfinite` on three floats is cheaper than a numpy reduction.
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"vector components must be finite, got {arr}")
     return arr
 

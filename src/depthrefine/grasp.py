@@ -5,14 +5,20 @@ azimuth alpha about the world z axis and a polar angle theta from the
 zenith. Each orientation composes a robot-specific alignment rotation
 (mapping the end-effector approach axis onto world z) with the azimuth
 and polar rotations, so the approach axis always points at the object.
-The grid forms all its orientation products in one broadcast and still
-matches the one-candidate-at-a-time quaternion chain bit for bit.
+The grid's unit offsets and orientations depend only on the sampling
+config, so they are built on a config's first use and kept on it; each
+call then only shifts the offsets to the object and applies the table
+filter. The grid
+forms all its orientation products in one broadcast and still matches the
+one-candidate-at-a-time quaternion chain bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +49,63 @@ class GraspSamplingConfig:
         # -inf (the default) disables the filter; NaN would disable it silently.
         if math.isnan(self.table_height):
             raise ValueError("table_height must not be NaN")
-        if self.alpha_samples < 1 or self.theta_samples < 1:
-            raise ValueError("sample counts must be >= 1")
+        for name in ("alpha_samples", "theta_samples"):
+            value = getattr(self, name)
+            # A fractional count is a malformed input, not one to truncate.
+            if not (math.isfinite(value) and value == int(value)):
+                raise ValueError(f"{name} must be an integral count, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.theta_max <= math.pi:
             raise ValueError("theta_max must be in (0, pi]")
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, list]:
+        """Unit offsets (K, 3), read-only, and (orientation, alpha, theta) per
+        cell, theta-ascending then alpha-ascending.
+
+        Built on first use and kept on the instance (a frozen dataclass still
+        has a `__dict__`), so it lives as long as this config and comes from
+        this config's own alignment bits.
+        """
+        if self.theta_samples == 1:
+            thetas = [0.0]
+        else:
+            step = self.theta_max / (self.theta_samples - 1)
+            thetas = [k * step for k in range(self.theta_samples)]
+        alphas = [k * (2.0 * math.pi / self.alpha_samples) for k in range(self.alpha_samples)]
+
+        # Cell (i, j) sits at r*(sin(t)sin(a), sin(t)cos(a), cos(t)) from the
+        # center for t = thetas[i], a = alphas[j]. `math.sin`/`math.cos` give
+        # the values of that formula on scalars; `np.sin` can differ in the
+        # last bit.
+        st, ct = (np.array([f(t) for t in thetas]) for f in (math.sin, math.cos))
+        sa, ca = (np.array([f(a) for a in alphas]) for f in (math.sin, math.cos))
+        offsets = np.stack(
+            (np.outer(st, sa), np.outer(st, ca), np.outer(ct, np.ones_like(sa))), -1
+        ).reshape(-1, 3)
+        offsets.flags.writeable = False
+        # Orientation align * Rz(alpha) * Ry(theta): both factors are built
+        # once per angle, then all products in one broadcast of `quat_mul`'s
+        # formula, with its operations in its order; `UnitQuaternion` then
+        # normalizes each row as `quat_mul` does, so every candidate gets the
+        # chain's bits.
+        azimuths = [quat_mul(self.approach_alignment, quat_z(a)) for a in alphas]
+        polars = [quat_y(t) for t in thetas]
+        aw, ax, ay, az = np.array([(q.w, q.x, q.y, q.z) for q in azimuths]).T[:, None, :]
+        bw, bx, by, bz = np.array([(q.w, q.x, q.y, q.z) for q in polars]).T[:, :, None]
+        products = np.stack((
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ), -1).reshape(-1, 4).tolist()
+        cells = [
+            (UnitQuaternion(*q), alpha, theta)
+            for q, (theta, alpha) in zip(products, itertools.product(thetas, alphas))
+        ]
+        return offsets, cells
 
 
 @dataclass(frozen=True)
@@ -70,41 +129,13 @@ def sample_candidates(
     NoFeasibleCandidateError when the table filter rejects everything.
     """
     center = as_vec3(refined_position)
-    if cfg.theta_samples == 1:
-        thetas = [0.0]
-    else:
-        step = cfg.theta_max / (cfg.theta_samples - 1)
-        thetas = [k * step for k in range(cfg.theta_samples)]
-    alphas = [k * (2.0 * math.pi / cfg.alpha_samples) for k in range(cfg.alpha_samples)]
-
-    # Candidate (i, j) sits at center + r*(sin(t)sin(a), sin(t)cos(a), cos(t))
-    # for t = thetas[i], a = alphas[j]. `math.sin`/`math.cos` give the values
-    # of that formula on scalars; `np.sin` can differ in the last bit.
-    st, ct = (np.array([f(t) for t in thetas]) for f in (math.sin, math.cos))
-    sa, ca = (np.array([f(a) for a in alphas]) for f in (math.sin, math.cos))
-    offsets = np.stack((np.outer(st, sa), np.outer(st, ca), np.outer(ct, np.ones_like(sa))), -1)
+    offsets, cells = cfg._grid
     positions = center + cfg.radius * offsets
-    # Orientation align * Rz(alpha) * Ry(theta): both factors are built once
-    # per angle, then all products in one broadcast of `quat_mul`'s formula,
-    # with its operations in its order; `UnitQuaternion` then normalizes each
-    # row as `quat_mul` does, so every candidate gets the chain's bits.
-    azimuths = [quat_mul(cfg.approach_alignment, quat_z(a)) for a in alphas]
-    polars = [quat_y(t) for t in thetas]
-    aw, ax, ay, az = np.array([(q.w, q.x, q.y, q.z) for q in azimuths]).T[:, None, :]
-    bw, bx, by, bz = np.array([(q.w, q.x, q.y, q.z) for q in polars]).T[:, :, None]
-    products = np.stack((
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ), -1).tolist()
-    keep = (positions[..., 2] >= cfg.table_height).tolist()
-
+    keep = (positions[:, 2] >= cfg.table_height).tolist()
     out = [
-        GraspCandidate(positions[i, j], UnitQuaternion(*products[i][j]), alpha, theta)
-        for i, theta in enumerate(thetas)
-        for j, alpha in enumerate(alphas)
-        if keep[i][j]
+        GraspCandidate(position, *cell)
+        for position, cell, kept in zip(positions, cells, keep)
+        if kept
     ]
     if not out:
         raise NoFeasibleCandidateError(

@@ -17,7 +17,7 @@ from depthrefine import (
     quat_mul,
     transform_point,
 )
-from depthrefine.geometry import quat_to_matrix, quat_y, quat_z, rotate
+from depthrefine.geometry import as_vec3, quat_to_matrix, quat_y, quat_z, rotate
 from helpers import conjugate, project, random_quaternion, reference_normalize, reference_rotate
 
 
@@ -135,6 +135,21 @@ class TestRotate:
             q = random_quaternion(rng)
             v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
             assert rotate(q, v).tobytes() == reference_rotate(q, v).tobytes()
+
+
+class TestAsVec3:
+    def test_non_finite_component_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for k in range(3):
+                v = [0.1, -0.2, 0.3]
+                v[k] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    as_vec3(v)
+
+    def test_wrong_shape_rejected(self):
+        for shape in ((2,), (3, 1)):
+            with pytest.raises(ValueError, match="expected a 3-vector"):
+                as_vec3(np.zeros(shape))
 
 
 class TestPose:

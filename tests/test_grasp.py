@@ -1,5 +1,6 @@
 """Pre-grasp candidate sampling on the sphere around the object."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,20 @@ from helpers import candidate_orientation, candidate_position, random_quaternion
 CENTER = np.array([0.1, -0.2, 0.45])
 
 
+def chain_grid(center, cfg):
+    """(position, orientation, alpha, theta) bytes of every kept candidate,
+    one at a time through the quaternion chain."""
+    step = 0.0 if cfg.theta_samples == 1 else cfg.theta_max / (cfg.theta_samples - 1)
+    out = []
+    for theta in [k * step for k in range(cfg.theta_samples)]:
+        for alpha in [k * (2.0 * math.pi / cfg.alpha_samples) for k in range(cfg.alpha_samples)]:
+            pos = candidate_position(center, cfg.radius, alpha, theta)
+            if not pos[2] < cfg.table_height:
+                q = candidate_orientation(cfg.approach_alignment, alpha, theta)
+                out.append((pos.tobytes(), q.as_array().tobytes(), alpha, theta))
+    return out
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -29,6 +44,24 @@ class TestConfig:
             GraspSamplingConfig(radius=0.1, theta_max=0.0)
         with pytest.raises(ValueError):
             GraspSamplingConfig(radius=0.1, theta_max=3.5)
+
+    def test_fractional_sample_counts_rejected_by_name(self):
+        for name in ("alpha_samples", "theta_samples"):
+            for bad in (2.5, 0.5, math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    GraspSamplingConfig(radius=0.1, **{name: bad})
+            with pytest.raises(ValueError, match=name):
+                GraspSamplingConfig(radius=0.1, **{name: 0})
+
+    def test_integral_float_counts_stored_as_int(self):
+        cfg = GraspSamplingConfig(radius=0.1, alpha_samples=8.0, theta_samples=np.float64(4.0))
+        assert (cfg.alpha_samples, cfg.theta_samples) == (8, 4)
+        assert type(cfg.alpha_samples) is int and type(cfg.theta_samples) is int
+        want = GraspSamplingConfig(radius=0.1, alpha_samples=8, theta_samples=4)
+        got = sample_candidates(CENTER, cfg)
+        assert [(c.position.tobytes(), c.alpha, c.theta) for c in got] == [
+            (c.position.tobytes(), c.alpha, c.theta) for c in sample_candidates(CENTER, want)
+        ]
 
     def test_non_finite_radius_and_nan_table_rejected(self):
         for bad in (math.inf, math.nan):
@@ -171,3 +204,54 @@ class TestBulkGridOracle:
             for c in sample_candidates(center, cfg)
         ]
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha_samples=st.integers(1, 12),
+        theta_samples=st.integers(1, 6),
+        theta_max=st.floats(1e-3, math.pi),
+        table_offset=st.one_of(st.just(-math.inf), st.floats(-0.3, 0.3)),
+        zeros=st.sets(st.integers(0, 3), min_size=1, max_size=3),
+    )
+    def test_cache_hits_match_chain(
+        self, seed, alpha_samples, theta_samples, theta_max, table_offset, zeros
+    ):
+        # Repeated calls reuse a cached grid. A copy whose alignment differs
+        # only in the sign of one zero component compares equal to it, yet
+        # must get its own grid; so must a mutated returned position not
+        # leak into the next call.
+        rng = np.random.default_rng(seed)
+        center = rng.normal(scale=0.5, size=3)
+        align = random_quaternion(rng).as_array()
+        align[list(zeros)] = 0.0
+        align = (align / np.linalg.norm(align)).tolist()
+        flipped = list(align)
+        flipped[min(zeros)] = -0.0
+        cfg = GraspSamplingConfig(
+            radius=float(rng.uniform(0.01, 0.3)),
+            alpha_samples=alpha_samples,
+            theta_samples=theta_samples,
+            theta_max=theta_max,
+            approach_alignment=UnitQuaternion(*align),
+            table_height=float(center[2]) + table_offset,
+        )
+        copy = dataclasses.replace(
+            cfg,
+            radius=cfg.radius * 1.5,
+            approach_alignment=UnitQuaternion(*flipped),
+            table_height=cfg.table_height - 0.05,
+        )
+        assert copy.approach_alignment == cfg.approach_alignment
+        for c in (cfg, copy, cfg, copy):
+            want = chain_grid(center, c)
+            if not want:
+                with pytest.raises(NoFeasibleCandidateError):
+                    sample_candidates(center, c)
+                continue
+            got = sample_candidates(center, c)
+            assert [
+                (g.position.tobytes(), g.orientation.as_array().tobytes(), g.alpha, g.theta)
+                for g in got
+            ] == want
+            got[0].position[:] = np.nan
