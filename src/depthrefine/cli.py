@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError
 from .fileio import (
+    _F32_MAX, _F32_TINY, _scale_depths,
     load_depth, load_mesh, load_scene_config, store_depth, store_scene_config, write_json,
 )
 from .geometry import UnitQuaternion, transform_point
@@ -65,17 +66,12 @@ def cmd_refine(args) -> int:
     mesh = load_mesh(args.mesh)
     real = load_depth(args.depth)
     if args.depth_scale != 1.0:
-        # The range load_depth allows a PFM scale: below it depths underflow
-        # to 0 and the scene gets the blame; above it the float32 cast overflows.
-        tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
-        if not tiny <= args.depth_scale <= top:  # NaN fails too
-            raise ValueError(
-                f"--depth-scale must lie in [{tiny:.6g}, {top:.6g}], got {args.depth_scale}"
-            )
-        # An overflowing product reaches DepthMap's finite check as inf.
-        with np.errstate(over="ignore"):
-            data = real.data * np.float32(args.depth_scale)
-        real = DepthMap(real.width, real.height, data)
+        # The range load_depth allows a PFM scale. `real` is this call's own
+        # map, so its depths are scaled in place and checked again as a new map.
+        error = (
+            f"--depth-scale must lie in [{_F32_TINY:.6g}, {_F32_MAX:.6g}], got {args.depth_scale}"
+        )
+        real = DepthMap(real.width, real.height, _scale_depths(real.data, args.depth_scale, error))
     cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
     inlier_count = int(np.count_nonzero(result.inlier_mask))

@@ -204,10 +204,6 @@ def load_depth(path) -> DepthMap:
         raise ValueError(f"dimensions {width}x{height} overflow sane bounds")
     if scale > 0:
         raise ValueError("big-endian PFM not supported (scale must be negative)")
-    # As Python floats, so that a huge scale is not cast to float32 here.
-    tiny, top = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
-    if not tiny <= -scale <= top:  # NaN fails too
-        raise ValueError(f"scale header {scale} is outside the float32 range")
 
     expected = width * height * 4
     payload = buf[header.end() : header.end() + expected]
@@ -220,11 +216,27 @@ def load_depth(path) -> DepthMap:
         data[holes] = 0.0
         log.info("%s: %d NaN/inf pixels mapped to 0.0 (invalid)",
                  Path(path).name, int(np.count_nonzero(holes)))
-    if -scale != 1.0:
+    _scale_depths(data, -scale, f"scale header {scale} is outside the float32 range")
+    return DepthMap(width, height, data)
+
+
+# The depth factors float32 depths can take, as Python floats so that a huge
+# factor is not cast to float32 before it is checked: below the smallest
+# normal the depths underflow to 0 and the scene gets the blame; above the
+# largest the float32 cast overflows.
+_F32_TINY, _F32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+
+
+def _scale_depths(data: np.ndarray, factor: float, error: str) -> np.ndarray:
+    """Multiply float32 depths in place by `factor` and return them; raise
+    ValueError(error) unless `factor` lies in [_F32_TINY, _F32_MAX]."""
+    if not _F32_TINY <= factor <= _F32_MAX:  # NaN fails too
+        raise ValueError(error)
+    if factor != 1.0:
         # An overflowing product reaches DepthMap's finite check as inf.
         with np.errstate(over="ignore"):
-            data *= np.float32(-scale)
-    return DepthMap(width, height, data)
+            data *= np.float32(factor)
+    return data
 
 
 def _vec3_field(doc: dict, key: str) -> np.ndarray:
@@ -241,9 +253,13 @@ def _number_field(doc: dict, key: str) -> float:
     val = doc.get(key)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"field {key!r} must be a number")
+    try:
+        val = float(val)
+    except OverflowError:
+        raise ValueError(f"field {key!r} is an integer beyond float range") from None
     if not np.isfinite(val):
         raise ValueError(f"field {key!r} must be finite")
-    return float(val)
+    return val
 
 
 def _quat_field(doc: dict, key: str) -> UnitQuaternion:

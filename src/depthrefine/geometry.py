@@ -33,6 +33,19 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
+def _integral_count(name: str, value) -> int:
+    """`value` as an int; a fractional count is a malformed input, not one to
+    truncate. Raises ValueError naming `name`, also for an int too large for
+    a float."""
+    try:
+        integral = math.isfinite(value) and value == int(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be an integral count within float range") from None
+    if not integral:
+        raise ValueError(f"{name} must be an integral count, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class UnitQuaternion:
     """Unit quaternion (w, x, y, z), Hamilton convention.
@@ -159,11 +172,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            value = getattr(self, name)
-            # A fractional pixel count is a malformed input, not one to truncate.
-            if not (math.isfinite(value) and value == int(value)):
-                raise ValueError(f"{name} must be an integral pixel count, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integral_count(name, getattr(self, name)))
         vals = [self.fx, self.fy, self.cx, self.cy]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("intrinsics must be finite")

@@ -8,14 +8,11 @@ and polar rotations, so the approach axis always points at the object.
 The grid's unit offsets and orientations depend only on the sampling
 config, so they are built on a config's first use and kept on it; each
 call then only shifts the offsets to the object and applies the table
-filter. The grid
-forms all its orientation products in one broadcast and still matches the
-one-candidate-at-a-time quaternion chain bit for bit.
+filter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoFeasibleCandidateError
-from .geometry import UnitQuaternion, as_vec3, quat_mul, quat_y, quat_z
+from .geometry import UnitQuaternion, _integral_count, as_vec3, quat_mul, quat_y, quat_z
 
 
 @dataclass(frozen=True)
@@ -50,13 +47,10 @@ class GraspSamplingConfig:
         if math.isnan(self.table_height):
             raise ValueError("table_height must not be NaN")
         for name in ("alpha_samples", "theta_samples"):
-            value = getattr(self, name)
-            # A fractional count is a malformed input, not one to truncate.
-            if not (math.isfinite(value) and value == int(value)):
-                raise ValueError(f"{name} must be an integral count, got {value!r}")
+            value = _integral_count(name, getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         if not 0.0 < self.theta_max <= math.pi:
             raise ValueError("theta_max must be in (0, pi]")
 
@@ -76,35 +70,17 @@ class GraspSamplingConfig:
             thetas = [k * step for k in range(self.theta_samples)]
         alphas = [k * (2.0 * math.pi / self.alpha_samples) for k in range(self.alpha_samples)]
 
-        # Cell (i, j) sits at r*(sin(t)sin(a), sin(t)cos(a), cos(t)) from the
-        # center for t = thetas[i], a = alphas[j]. `math.sin`/`math.cos` give
-        # the values of that formula on scalars; `np.sin` can differ in the
-        # last bit.
-        st, ct = (np.array([f(t) for t in thetas]) for f in (math.sin, math.cos))
-        sa, ca = (np.array([f(a) for a in alphas]) for f in (math.sin, math.cos))
-        offsets = np.stack(
-            (np.outer(st, sa), np.outer(st, ca), np.outer(ct, np.ones_like(sa))), -1
-        ).reshape(-1, 3)
+        # Cell (theta, alpha) sits at r*(sin(t)sin(a), sin(t)cos(a), cos(t))
+        # from the center, oriented align * Rz(alpha) * Ry(theta).
+        azimuths = [(a, quat_mul(self.approach_alignment, quat_z(a))) for a in alphas]
+        offsets, cells = [], []
+        for theta in thetas:
+            st, ct, polar = math.sin(theta), math.cos(theta), quat_y(theta)
+            for alpha, azimuth in azimuths:
+                offsets.append((st * math.sin(alpha), st * math.cos(alpha), ct))
+                cells.append((quat_mul(azimuth, polar), alpha, theta))
+        offsets = np.array(offsets)
         offsets.flags.writeable = False
-        # Orientation align * Rz(alpha) * Ry(theta): both factors are built
-        # once per angle, then all products in one broadcast of `quat_mul`'s
-        # formula, with its operations in its order; `UnitQuaternion` then
-        # normalizes each row as `quat_mul` does, so every candidate gets the
-        # chain's bits.
-        azimuths = [quat_mul(self.approach_alignment, quat_z(a)) for a in alphas]
-        polars = [quat_y(t) for t in thetas]
-        aw, ax, ay, az = np.array([(q.w, q.x, q.y, q.z) for q in azimuths]).T[:, None, :]
-        bw, bx, by, bz = np.array([(q.w, q.x, q.y, q.z) for q in polars]).T[:, :, None]
-        products = np.stack((
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ), -1).reshape(-1, 4).tolist()
-        cells = [
-            (UnitQuaternion(*q), alpha, theta)
-            for q, (theta, alpha) in zip(products, itertools.product(thetas, alphas))
-        ]
         return offsets, cells
 
 

@@ -368,6 +368,20 @@ class TestInvalidInputs:
                 "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("field", ["width", "fx"])
+    def test_scene_int_beyond_float_range_exits_2(self, workspace, capsys, field):
+        # A 400-digit JSON integer used to reach np.isfinite and exit 1
+        # with a TypeError.
+        tmp_path, obj, _ = workspace
+        scene = tmp_path / "huge-int.json"
+        scene.write_text(json.dumps(scene_doc(**{field: int("9" * 400)})))
+        out = tmp_path / "d.pfm"
+        assert main(["render", "--mesh", obj, "--scene", str(scene), "--out", str(out)]) == (
+            EXIT_INVALID_INPUT
+        )
+        assert repr(field) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_scene_exits_2(self, workspace, capsys):
         # 10^10 pixels: rejected while parsing the scene, before the render
         # would allocate the z-buffer.
@@ -477,6 +491,15 @@ class TestSampleGrasps:
                    "--radius", "inf", "--out", str(out)])
         assert rc == EXIT_INVALID_INPUT
         assert "radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_count_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # An int too large for a float used to exit 1 with OverflowError.
+        out = tmp_path / "grasps.json"
+        rc = main(["sample-grasps", "--position", "0", "0", "0.032",
+                   "--alpha-samples", "9" * 401, "--out", str(out)])
+        assert rc == EXIT_INVALID_INPUT
+        assert "alpha_samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_filtered_exits_5(self, tmp_path, capsys):

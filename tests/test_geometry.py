@@ -186,6 +186,9 @@ class TestCameraIntrinsics:
             CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480.5)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=math.inf, height=480)
+        # An int too large for a float used to raise OverflowError.
+        with pytest.raises(ValueError, match="height"):
+            CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=10**400)
         intr = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640.0, height=480)
         assert (intr.width, intr.height) == (640, 480)
         assert isinstance(intr.width, int)

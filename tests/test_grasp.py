@@ -47,7 +47,7 @@ class TestConfig:
 
     def test_fractional_sample_counts_rejected_by_name(self):
         for name in ("alpha_samples", "theta_samples"):
-            for bad in (2.5, 0.5, math.inf, math.nan):
+            for bad in (2.5, 0.5, math.inf, math.nan, int("9" * 401)):
                 with pytest.raises(ValueError, match=name):
                     GraspSamplingConfig(radius=0.1, **{name: bad})
             with pytest.raises(ValueError, match=name):
@@ -175,7 +175,7 @@ class TestBulkGridOracle:
     def test_grid_equals_per_candidate_chain(
         self, seed, alpha_samples, theta_samples, theta_max, table_offset
     ):
-        # The bulk grid must give every value of the one-candidate-at-a-time
+        # The cached grid must give every value of the one-candidate-at-a-time
         # chain exactly, with the same filter and the same empty-grid error.
         rng = np.random.default_rng(seed)
         center = rng.normal(scale=0.5, size=3)
@@ -187,14 +187,7 @@ class TestBulkGridOracle:
             approach_alignment=random_quaternion(rng),
             table_height=float(center[2]) + table_offset,
         )
-        step = 0.0 if theta_samples == 1 else theta_max / (theta_samples - 1)
-        want = []
-        for theta in [k * step for k in range(theta_samples)]:
-            for alpha in [k * (2.0 * math.pi / alpha_samples) for k in range(alpha_samples)]:
-                pos = candidate_position(center, cfg.radius, alpha, theta)
-                if not pos[2] < cfg.table_height:
-                    q = candidate_orientation(cfg.approach_alignment, alpha, theta)
-                    want.append((pos.tobytes(), q.as_array().tobytes(), alpha, theta))
+        want = chain_grid(center, cfg)
         if not want:
             with pytest.raises(NoFeasibleCandidateError):
                 sample_candidates(center, cfg)

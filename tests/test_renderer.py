@@ -122,6 +122,22 @@ class TestFrontoParallelSquare:
         assert len(support) == len(np.unique(rows)) * len(np.unique(cols))
 
 
+def assert_scaling_law(mesh, pose, intr, sigma):
+    """The render slid by `sigma` and scaled by its `mu` covers the same
+    pixels, each at `mu` times the depth of the unmoved render."""
+    moved, mu = apply_sigma_to_pose(pose, sigma)
+    d0 = render_depth(mesh, pose, intr)
+    ds = render_depth(mesh, moved, intr, scale=mu)
+    s0, s1 = pixel_support(d0), pixel_support(ds)
+    assert len(s0) > 100
+    assert len(np.setxor1d(s0, s1)) < 0.02 * len(s0)
+    common = np.intersect1d(s0, s1)
+    ratio = ds.data.ravel()[common].astype(np.float64) / (
+        mu * d0.data.ravel()[common].astype(np.float64)
+    )
+    assert np.abs(ratio - 1.0).max() < 1e-6
+
+
 class TestScalingLaw:
     def test_depth_scaling_and_support_invariance(self):
         mesh, _ = builtin_model("apple")
@@ -132,17 +148,27 @@ class TestScalingLaw:
                 random_quaternion(rng),
             )
             sigma = rng.uniform(-0.6, 0.6) * float(pose.position[2])
-            moved, mu = apply_sigma_to_pose(pose, sigma)
-            d0 = render_depth(mesh, pose, INTR)
-            ds = render_depth(mesh, moved, INTR, scale=mu)
-            s0, s1 = pixel_support(d0), pixel_support(ds)
-            assert len(s0) > 100
-            assert len(np.setxor1d(s0, s1)) < 0.02 * len(s0)
-            common = np.intersect1d(s0, s1)
-            ratio = ds.data.ravel()[common].astype(np.float64) / (
-                mu * d0.data.ravel()[common].astype(np.float64)
+            assert_scaling_law(mesh, pose, INTR, sigma)
+
+    @pytest.mark.parametrize("mesh_id", ["apple", "sphere", "cube"])
+    def test_every_builtin_mesh_at_random_intrinsics(self, mesh_id):
+        mesh, dims = builtin_model(mesh_id)
+        size = float(dims.as_array().max())
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            width, height = (int(n) for n in rng.integers(64, 321, size=2))
+            fx = rng.uniform(0.8, 1.6) * width
+            fy = fx * rng.uniform(0.9, 1.1)
+            cx, cy = width * rng.uniform(0.4, 0.6), height * rng.uniform(0.4, 0.6)
+            intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+            # The object spans 30-70% of the shorter side, near the frame's
+            # center, so its support holds hundreds of pixels.
+            z = min(fx, fy) * size / (rng.uniform(0.3, 0.7) * min(width, height))
+            u, v = width * rng.uniform(0.4, 0.6), height * rng.uniform(0.4, 0.6)
+            pose = Pose(
+                np.array([(u - cx) * z / fx, (v - cy) * z / fy, z]), random_quaternion(rng)
             )
-            assert np.abs(ratio - 1.0).max() < 1e-6
+            assert_scaling_law(mesh, pose, intr, rng.uniform(-0.6, 0.6) * z)
 
 
 class TestSphereOracle:
