@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import EXIT_INVALID_INPUT, EXIT_OK, EXIT_UNEXPECTED, DepthRefineError
 from .fileio import (
-    _F32_MAX, _F32_TINY, _scale_depths,
-    load_depth, load_mesh, load_scene_config, store_depth, store_scene_config, write_json,
+    _scale_depths, load_depth, load_mesh, load_scene_config, store_depth, store_scene_config,
+    write_json,
 )
 from .geometry import UnitQuaternion, transform_point
 from .grasp import GraspSamplingConfig, sample_candidates
@@ -35,14 +35,6 @@ from .harness import (
 )
 from .refiner import RefineConfig, refine
 from .renderer import DepthMap, render_depth
-
-
-def _vec(arr) -> list[float]:
-    return [float(x) for x in np.asarray(arr).ravel()]
-
-
-def _quat(q: UnitQuaternion) -> list[float]:
-    return [q.w, q.x, q.y, q.z]
 
 
 def _given(args, *names) -> dict:
@@ -68,28 +60,26 @@ def cmd_refine(args) -> int:
     if args.depth_scale != 1.0:
         # The range load_depth allows a PFM scale. `real` is this call's own
         # map, so its depths are scaled in place and checked again as a new map.
-        error = (
-            f"--depth-scale must lie in [{_F32_TINY:.6g}, {_F32_MAX:.6g}], got {args.depth_scale}"
-        )
-        real = DepthMap(real.width, real.height, _scale_depths(real.data, args.depth_scale, error))
+        scaled = _scale_depths(real.data, args.depth_scale, "--depth-scale")
+        real = DepthMap(real.width, real.height, scaled)
     cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
     inlier_count = int(np.count_nonzero(result.inlier_mask))
     doc = {
         "sigma_opt": result.sigma_opt,
         "mu_opt": result.mu_opt,
-        "refined_position": _vec(result.refined_pose.position),
-        "refined_orientation": _quat(result.refined_pose.orientation),
-        "estimated_dims": _vec(result.estimated_dims.as_array()),
+        "refined_position": result.refined_pose.position.tolist(),
+        "refined_orientation": result.refined_pose.orientation.as_array().tolist(),
+        "estimated_dims": result.estimated_dims.as_array().tolist(),
         "inlier_count": inlier_count,
         "rms_residual": result.rms_residual,
         "mu_at_bound": result.at_bound,
         "free_space_fraction": result.free_space_fraction,
     }
     if extrinsics is not None:
-        doc["refined_position_world"] = _vec(
-            transform_point(extrinsics, result.refined_pose.position)
-        )
+        doc["refined_position_world"] = transform_point(
+            extrinsics, result.refined_pose.position
+        ).tolist()
     write_json(args.out, doc)
     print(
         f"sigma_opt={result.sigma_opt:+.4f} m, mu_opt={result.mu_opt:.4f}, "
@@ -106,8 +96,8 @@ def cmd_sample_grasps(args) -> int:
     candidates = sample_candidates(np.array(args.position), cfg)
     doc = [
         {
-            "position": _vec(c.position),
-            "orientation": _quat(c.orientation),
+            "position": c.position.tolist(),
+            "orientation": c.orientation.as_array().tolist(),
             "alpha": c.alpha,
             "theta": c.theta,
         }

@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, CuboidDims, Pose, UnitQuaternion
+from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, UnitQuaternion
 from .renderer import DepthMap, TriangleMesh
 
 log = logging.getLogger(__name__)
-
-# Reject PFM headers and scene configs whose pixel count exceeds this; a
-# corrupt header must not drive a giant allocation.
-MAX_PFM_PIXELS = 100_000_000
 
 
 def load_mesh(path) -> TriangleMesh:
@@ -200,7 +197,7 @@ def load_depth(path) -> DepthMap:
         scale = float(tokens[3])
     except ValueError:
         raise ValueError("non-numeric header field") from None
-    if width <= 0 or height <= 0 or width * height > MAX_PFM_PIXELS:
+    if width <= 0 or height <= 0 or width * height > MAX_IMAGE_PIXELS:
         raise ValueError(f"dimensions {width}x{height} overflow sane bounds")
     if scale > 0:
         raise ValueError("big-endian PFM not supported (scale must be negative)")
@@ -216,7 +213,7 @@ def load_depth(path) -> DepthMap:
         data[holes] = 0.0
         log.info("%s: %d NaN/inf pixels mapped to 0.0 (invalid)",
                  Path(path).name, int(np.count_nonzero(holes)))
-    _scale_depths(data, -scale, f"scale header {scale} is outside the float32 range")
+    _scale_depths(data, -scale, "scale header magnitude")
     return DepthMap(width, height, data)
 
 
@@ -227,11 +224,11 @@ def load_depth(path) -> DepthMap:
 _F32_TINY, _F32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
 
 
-def _scale_depths(data: np.ndarray, factor: float, error: str) -> np.ndarray:
+def _scale_depths(data: np.ndarray, factor: float, label: str) -> np.ndarray:
     """Multiply float32 depths in place by `factor` and return them; raise
-    ValueError(error) unless `factor` lies in [_F32_TINY, _F32_MAX]."""
+    ValueError naming `label` unless `factor` lies in [_F32_TINY, _F32_MAX]."""
     if not _F32_TINY <= factor <= _F32_MAX:  # NaN fails too
-        raise ValueError(error)
+        raise ValueError(f"{label} must lie in [{_F32_TINY:.6g}, {_F32_MAX:.6g}], got {factor}")
     if factor != 1.0:
         # An overflowing product reaches DepthMap's finite check as inf.
         with np.errstate(over="ignore"):
@@ -239,46 +236,45 @@ def _scale_depths(data: np.ndarray, factor: float, error: str) -> np.ndarray:
     return data
 
 
-def _vec3_field(doc: dict, key: str) -> np.ndarray:
-    val = doc.get(key)
-    if not (isinstance(val, (list, tuple)) and len(val) == 3):
-        raise ValueError(f"field {key!r} must be a 3-element array")
-    arr = np.array(val, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"field {key!r} must be finite")
-    return arr
-
-
-def _number_field(doc: dict, key: str) -> float:
-    val = doc.get(key)
+def _number(key: str, val) -> float:
+    """`val` as a float: a JSON number, not a bool, within float range and
+    finite. Raises ValueError naming the field `key`."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"field {key!r} must be a number")
     try:
         val = float(val)
     except OverflowError:
         raise ValueError(f"field {key!r} is an integer beyond float range") from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ValueError(f"field {key!r} must be finite")
     return val
 
 
-def _quat_field(doc: dict, key: str) -> UnitQuaternion:
-    val = doc.get(key)
-    if not (isinstance(val, (list, tuple)) and len(val) == 4):
-        raise ValueError(f"field {key!r} must be a 4-element [w, x, y, z] array")
-    try:
-        return UnitQuaternion(*(float(c) for c in val))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
+def _field(doc: dict, key: str, size: int = 0):
+    """The number at doc[key], or with `size` the list of that many numbers,
+    each read by `_number`."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    val = doc[key]
+    if not size:
+        return _number(key, val)
+    if not (isinstance(val, list) and len(val) == size):
+        raise ValueError(f"field {key!r} must be a {size}-element array")
+    return [_number(key, v) for v in val]
 
 
 def _pose_from(doc: dict) -> Pose:
-    return Pose(_vec3_field(doc, "position"), _quat_field(doc, "orientation"))
+    position = _field(doc, "position", 3)
+    components = _field(doc, "orientation", 4)
+    try:
+        orientation = UnitQuaternion(*components)
+    except ValueError as exc:
+        raise ValueError(f"field 'orientation': {exc}") from None
+    return Pose(position, orientation)
 
 
 def _pose_doc(pose: Pose) -> dict:
-    q = pose.orientation
-    return {"position": [float(x) for x in pose.position], "orientation": [q.w, q.x, q.y, q.z]}
+    return {"position": pose.position.tolist(), "orientation": pose.orientation.as_array().tolist()}
 
 
 def write_json(path, doc) -> None:
@@ -304,7 +300,7 @@ def store_scene_config(
         "cy": intr.cy,
         "width": intr.width,
         "height": intr.height,
-        "cad_dims": [float(x) for x in dims.as_array()],
+        "cad_dims": dims.as_array().tolist(),
     }
     if extrinsics is not None:
         doc["world_T_camera"] = _pose_doc(extrinsics)
@@ -327,39 +323,20 @@ def load_scene_config(path) -> tuple[Pose, CameraIntrinsics, Pose | None, Cuboid
     if not isinstance(doc, dict):
         raise ValueError(f"{path.name}: top level must be an object")
 
-    required = ("position", "orientation", "fx", "fy", "cx", "cy",
-                "width", "height", "cad_dims")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValueError(f"{path.name}: missing fields {missing}")
-
     try:
         pose = _pose_from(doc)
         intr = CameraIntrinsics(
-            fx=_number_field(doc, "fx"),
-            fy=_number_field(doc, "fy"),
-            cx=_number_field(doc, "cx"),
-            cy=_number_field(doc, "cy"),
-            width=_number_field(doc, "width"),
-            height=_number_field(doc, "height"),
+            *(_field(doc, key) for key in ("fx", "fy", "cx", "cy", "width", "height"))
         )
-        dims = CuboidDims(*_vec3_field(doc, "cad_dims"))
+        dims = CuboidDims(*_field(doc, "cad_dims", 3))
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
-    # Same bound as a PFM header, checked before anything allocates the image.
-    if intr.width * intr.height > MAX_PFM_PIXELS:
-        raise ValueError(
-            f"{path.name}: image {intr.width}x{intr.height} exceeds {MAX_PFM_PIXELS} pixels"
-        )
 
     extrinsics = None
     if "world_T_camera" in doc:
         sub = doc["world_T_camera"]
         if not isinstance(sub, dict):
             raise ValueError(f"{path.name}: world_T_camera must be an object")
-        for k in ("position", "orientation"):
-            if k not in sub:
-                raise ValueError(f"{path.name}: world_T_camera missing {k!r}")
         try:
             extrinsics = _pose_from(sub)
         except ValueError as exc:

@@ -21,6 +21,10 @@ import numpy as np
 # rejected rather than silently rescaled.
 UNIT_NORM_TOL = 1e-3
 
+# The largest image, in pixels, that intrinsics or a PFM header may describe;
+# a corrupt size must not drive a giant allocation.
+MAX_IMAGE_PIXELS = 100_000_000
+
 
 def as_vec3(v) -> np.ndarray:
     """Validate and convert to a float64 3-vector with finite components."""
@@ -180,6 +184,8 @@ class CameraIntrinsics:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
+        if self.width * self.height > MAX_IMAGE_PIXELS:
+            raise ValueError(f"image {self.width}x{self.height} exceeds {MAX_IMAGE_PIXELS} pixels")
         if not (0 < self.cx < self.width):
             raise ValueError(f"cx={self.cx} outside (0, {self.width})")
         if not (0 < self.cy < self.height):

@@ -22,6 +22,10 @@ import numpy as np
 from .errors import NoFeasibleCandidateError
 from .geometry import UnitQuaternion, _integral_count, as_vec3, quat_mul, quat_y, quat_z
 
+# The most grid cells a config may ask for; the grid is built cell by cell in
+# Python (about 13 us each), so this bounds its first use to a second or two.
+MAX_GRID_CELLS = 100_000
+
 
 @dataclass(frozen=True)
 class GraspSamplingConfig:
@@ -51,6 +55,8 @@ class GraspSamplingConfig:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
             object.__setattr__(self, name, value)
+        if self.alpha_samples * self.theta_samples > MAX_GRID_CELLS:
+            raise ValueError(f"alpha_samples * theta_samples must be at most {MAX_GRID_CELLS}")
         if not 0.0 < self.theta_max <= math.pi:
             raise ValueError("theta_max must be in (0, pi]")
 

@@ -368,18 +368,33 @@ class TestInvalidInputs:
                 "--depth", str(depth_path), "--out", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_INVALID_INPUT
 
-    @pytest.mark.parametrize("field", ["width", "fx"])
+    @pytest.mark.parametrize("field", [
+        "width", "fx", "cad_dims", "position", "orientation", "world_T_camera.position",
+    ])
     def test_scene_int_beyond_float_range_exits_2(self, workspace, capsys, field):
-        # A 400-digit JSON integer used to reach np.isfinite and exit 1
-        # with a TypeError.
+        # A 400-digit JSON integer used to exit 1: with a TypeError from
+        # np.isfinite in a scalar field, with an OverflowError in an array.
         tmp_path, obj, _ = workspace
+        huge = int("9" * 400)
+        overrides = {
+            "width": {"width": huge},
+            "fx": {"fx": huge},
+            "cad_dims": {"cad_dims": [0.2, huge, 0.01]},
+            "position": {"position": [0.0, 0.0, huge]},
+            "orientation": {"orientation": [huge, 0.0, 0.0, 0.0]},
+            "world_T_camera.position": {"world_T_camera": {
+                "position": [0.0, 0.0, huge], "orientation": [0.0, 1.0, 0.0, 0.0],
+            }},
+        }[field]
         scene = tmp_path / "huge-int.json"
-        scene.write_text(json.dumps(scene_doc(**{field: int("9" * 400)})))
+        scene.write_text(json.dumps(scene_doc(**overrides)))
         out = tmp_path / "d.pfm"
         assert main(["render", "--mesh", obj, "--scene", str(scene), "--out", str(out)]) == (
             EXIT_INVALID_INPUT
         )
-        assert repr(field) in capsys.readouterr().err
+        *frame, key = field.split(".")
+        err = capsys.readouterr().err
+        assert err.count(repr(key)) == 1 and all(f"{name}:" in err for name in frame)
         assert not out.exists()
 
     def test_oversized_scene_exits_2(self, workspace, capsys):

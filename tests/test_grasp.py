@@ -15,6 +15,7 @@ from depthrefine import (
     sample_candidates,
 )
 from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
+from depthrefine.grasp import MAX_GRID_CELLS
 from helpers import candidate_orientation, candidate_position, random_quaternion
 
 CENTER = np.array([0.1, -0.2, 0.45])
@@ -52,6 +53,15 @@ class TestConfig:
                     GraspSamplingConfig(radius=0.1, **{name: bad})
             with pytest.raises(ValueError, match=name):
                 GraspSamplingConfig(radius=0.1, **{name: 0})
+
+    def test_grid_cells_bounded(self):
+        # Only constructed: a grid past the bound is refused before it is
+        # built, where 10**300 cells used to loop until memory ran out.
+        cfg = GraspSamplingConfig(radius=0.1, alpha_samples=MAX_GRID_CELLS // 4, theta_samples=4)
+        assert cfg.alpha_samples * cfg.theta_samples == MAX_GRID_CELLS
+        for alpha, theta in ((MAX_GRID_CELLS + 1, 1), (MAX_GRID_CELLS // 4 + 1, 4), (10**300, 4)):
+            with pytest.raises(ValueError, match=r"alpha_samples \* theta_samples"):
+                GraspSamplingConfig(radius=0.1, alpha_samples=alpha, theta_samples=theta)
 
     def test_integral_float_counts_stored_as_int(self):
         cfg = GraspSamplingConfig(radius=0.1, alpha_samples=8.0, theta_samples=np.float64(4.0))

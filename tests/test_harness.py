@@ -27,7 +27,7 @@ from depthrefine import (
     tabletop_scene,
     transform_point,
 )
-from depthrefine.geometry import quat_x
+from depthrefine.geometry import quat_mul, quat_x, quat_z
 from depthrefine.harness import (
     ellipsoid_mesh,
     leftmost_region,
@@ -397,3 +397,23 @@ class TestRoundTripProperty:
             result = refine(coarse, mesh, CAD_CUBOID, INTR, real)
             assert abs(result.mu_opt - mu_star) / mu_star < 1e-3
             assert np.linalg.norm(result.refined_pose.position - spec.true_pose.position) < 1e-3
+
+    def test_guard_cells_recover_scale(self):
+        # Cells that must refine right, 10 scenes each: the apple at 1-3 m
+        # under sigma_z = 1.5e-3 z^2 depth noise (Khoshelham & Elberink,
+        # Sensors 2012), and the apple and cube with the coarse orientation
+        # tilted 10 and 20 deg about camera x or z.
+        cells = [
+            ({"object_depth": z, "depth_noise": 1.5e-3 * z**2}, UnitQuaternion.identity())
+            for z in (1.0, 2.0, 3.0)
+        ] + [
+            ({"mesh_id": mesh_id, "depth_noise": 0.002}, axis(math.radians(deg)))
+            for mesh_id in ("apple", "cube") for axis in (quat_x, quat_z) for deg in (10, 20)
+        ]
+        for scene, tilt in cells:
+            for spec in default_sweep(seed=0, **scene) + default_sweep(seed=5, **scene):
+                real, coarse = generate_scene(spec)
+                mesh, cad_dims = builtin_model(spec.mesh_id)
+                tilted = Pose(coarse.position, quat_mul(tilt, coarse.orientation))
+                result = refine(tilted, mesh, cad_dims, INTR, real)
+                assert abs(result.mu_opt - spec.true_scale) <= 0.01, (scene, tilt, spec.seed)

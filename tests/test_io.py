@@ -26,9 +26,8 @@ from depthrefine import (
     store_mesh,
     store_scene_config,
 )
-from depthrefine.geometry import quat_x
+from depthrefine.geometry import MAX_IMAGE_PIXELS, quat_x
 from depthrefine import fileio
-from depthrefine.fileio import MAX_PFM_PIXELS
 from helpers import (
     reference_parse_plain_obj,
     reference_write_json,
@@ -550,6 +549,16 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match="fx"):
             load_scene_config(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("position", ["0", 0.0, 0.5]),
+        ("orientation", [True, 0.0, 0.0, 0.0]),
+        ("cad_dims", [0.092, None, 0.092]),
+    ])
+    def test_array_components_must_be_numbers(self, tmp_path, field, value):
+        # The string and the boolean used to load as 0.0 and 1.0.
+        with pytest.raises(ValueError, match=f"field '{field}' must be a number"):
+            load_scene_config(self.write(tmp_path, scene_doc(**{field: value})))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text("{not json")
@@ -567,10 +576,13 @@ class TestSceneConfig:
         doc = scene_doc(width=100_000, height=100_000, cx=50_000.0, cy=50_000.0)
         with pytest.raises(ValueError, match="exceeds"):
             load_scene_config(self.write(tmp_path, doc))
-        side = math.isqrt(MAX_PFM_PIXELS)
+        side = math.isqrt(MAX_IMAGE_PIXELS)
         doc = scene_doc(width=side, height=side, cx=side / 2, cy=side / 2)
         _, intr, _, _ = load_scene_config(self.write(tmp_path, doc))
-        assert intr.width * intr.height <= MAX_PFM_PIXELS
+        assert intr.width * intr.height <= MAX_IMAGE_PIXELS
+        # The bound belongs to the intrinsics, however they are built.
+        with pytest.raises(ValueError, match="exceeds"):
+            CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=0.5, width=1e300, height=1)
 
     def test_bad_intrinsics_rejected(self, tmp_path):
         doc = scene_doc(cx=900.0)
