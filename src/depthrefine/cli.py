@@ -3,7 +3,7 @@
 One subcommand per pipeline stage. Exit codes: 0 success, 1 unexpected
 failure, 2 invalid input (any ValueError or OSError), and one code per
 pipeline failure on valid input: 3 no overlap between rendered and
-measured depth, 4 degenerate scene (robust fit found no consensus),
+measured depth, 4 degenerate scene (no consensus, or a scale beyond the bound),
 5 no feasible grasp candidate. Every command that touches randomness
 takes --seed; identical invocations produce byte-identical outputs.
 """
@@ -64,7 +64,7 @@ def cmd_refine(args) -> int:
         real = DepthMap(real.width, real.height, scaled)
     cfg = RefineConfig(**_given(args, "bound_fraction", "inlier_threshold", "min_inlier_fraction"))
     result = refine(pose, mesh, cad_dims, intr, real, cfg)
-    inlier_count = int(np.count_nonzero(result.inlier_mask))
+    inlier_count = len(result.inliers)
     doc = {
         "sigma_opt": result.sigma_opt,
         "mu_opt": result.mu_opt,
@@ -73,7 +73,6 @@ def cmd_refine(args) -> int:
         "estimated_dims": result.estimated_dims.as_array().tolist(),
         "inlier_count": inlier_count,
         "rms_residual": result.rms_residual,
-        "mu_at_bound": result.at_bound,
         "free_space_fraction": result.free_space_fraction,
     }
     if extrinsics is not None:

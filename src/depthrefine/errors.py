@@ -4,7 +4,7 @@ Invalid input (a malformed file, a bad field or flag, a degenerate
 geometry) raises ValueError, which the CLI reports as exit 2. The
 classes here are the pipeline's three failures on valid input, one per
 stage, each with its own exit code: no overlap between render and
-measurement (3), no consensus on a scale (4), no feasible grasp (5).
+measurement (3), no consensus on a plausible scale (4), no feasible grasp (5).
 """
 
 EXIT_OK = 0
@@ -28,7 +28,7 @@ class NoOverlapError(DepthRefineError):
 
 
 class DegenerateSceneError(DepthRefineError):
-    """Robust regression found no consensus above the configured fraction."""
+    """No consensus above the configured fraction, or a scale beyond the bound."""
 
     exit_code = EXIT_DEGENERATE_SCENE
 

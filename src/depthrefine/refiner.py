@@ -33,10 +33,11 @@ from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Search bound and robust scale-only fit d = mu*d_hat.
+    """Plausible scales and robust scale-only fit d = mu*d_hat.
 
-    A fit whose consensus is below `min_inlier_fraction` of the pairs is
-    rejected.
+    A fit is rejected when its consensus is below `min_inlier_fraction`
+    of the pairs, or when its scale lies outside [1 - bound_fraction,
+    1 + bound_fraction].
     """
 
     bound_fraction: float = 0.8
@@ -58,9 +59,8 @@ class RefinementResult:
     mu_opt: float
     refined_pose: Pose
     estimated_dims: CuboidDims
-    inlier_mask: np.ndarray  # read-only boolean (H, W) mask
+    inliers: np.ndarray  # read-only ascending int64 flat pixel indices
     rms_residual: float
-    at_bound: bool
     # Share of all pairs measured beyond mu_opt*v0 + inlier_threshold; an
     # occluder only brings depths nearer, so a high share flags a wrong fit.
     free_space_fraction: float
@@ -91,18 +91,18 @@ def objective(
 
     Renders the model at the slid-and-scaled pose, pairs its pixels with
     the measured ones through `residual_samples` (narrowed to `inliers`
-    when given: a boolean mask of the map shape), and averages the squared
-    differences. No pair means the coarse pose is too wrong to refine and
-    raises NoOverlapError.
+    when given: ascending flat pixel indices, as `RefinementResult.inliers`),
+    and averages the squared differences. No pair means the coarse pose is
+    too wrong to refine and raises NoOverlapError.
     """
     transformed, mu = apply_sigma_to_pose(pose, sigma)
     virtual = render_depth(mesh, transformed, intr, scale=mu)
     pairs = residual_samples(real, virtual)
     if inliers is not None:
         inliers = np.asarray(inliers)
-        if inliers.shape != real.data.shape or inliers.dtype != bool:
-            raise ValueError("inlier mask must be a boolean array of the map shape")
-        pairs = pairs[inliers.ravel()[pairs]]
+        if inliers.ndim != 1 or inliers.dtype.kind != "i":
+            raise ValueError("inliers must be a 1-D signed integer array of flat pixel indices")
+        pairs = np.intersect1d(pairs, inliers, assume_unique=True)
     if pairs.size == 0:
         raise NoOverlapError("rendered and measured depth supports do not intersect")
     diff = (real.data.ravel()[pairs].astype(np.float64)
@@ -164,10 +164,10 @@ def refine(
     vote suffices). Because the render at sigma equals mu times the
     sigma=0 render v0 on the same pixels (up to float32 rounding), the
     objective mean((d - mu*v0)^2) over the inliers is a convex quadratic in
-    mu, and so in sigma, minimized by mu* = <d,v0>/<v0,v0>. The matching
-    sigma* = (1 - mu*)*||p|| is clipped to the search interval
-    [-bound_fraction*pz, +bound_fraction*pz]; `at_bound` reports whether
-    the clip moved it. The orientation passes through untouched.
+    mu, and so in sigma, minimized by mu* = <d,v0>/<v0,v0> at sigma* =
+    (1 - mu*)*||p||. A mu* outside [1 - bound_fraction, 1 + bound_fraction]
+    raises DegenerateSceneError. The orientation passes through untouched;
+    `inliers` holds the ascending flat indices of the consenting pixels.
     """
     if cfg is None:
         cfg = RefineConfig()
@@ -186,19 +186,20 @@ def refine(
     keep = ransac_inliers(d_all, v_all, cfg)
     d = d_all[keep]
     v0 = v_all[keep]
-    inlier_mask = np.zeros(real.data.size, dtype=bool)
-    inlier_mask[pairs[keep]] = True
-    inlier_mask = inlier_mask.reshape(real.data.shape)
-    inlier_mask.flags.writeable = False
+    inliers = pairs[keep]
+    inliers.flags.writeable = False
 
     # All finite: DepthMap depths are at most 3.4e38 and rendered ones at
     # least NEAR_PLANE, so in float64 each squared residual and their mean
-    # stay below about 1e78; v0 > 0 keeps mu* finite; and, with b =
-    # bound_fraction < 1, |sigma_opt| <= b*pz <= b*||p|| puts mu_opt in [1-b, 1+b].
+    # stay below about 1e78, and v0 > 0 keeps mu* finite. Past the check,
+    # |mu* - 1| <= b = bound_fraction < 1 keeps |sigma_opt| below ||p||.
     mu_star = float(d @ v0) / float(v0 @ v0)
-    bound = cfg.bound_fraction * pz
-    sigma_star = (1.0 - mu_star) * float(np.linalg.norm(coarse.position))
-    sigma_opt = min(max(sigma_star, -bound), bound)
+    b = cfg.bound_fraction
+    if abs(mu_star - 1.0) > b:
+        raise DegenerateSceneError(
+            f"fitted scale mu*={mu_star:.6g} lies outside the bound [{1 - b:.6g}, {1 + b:.6g}]"
+        )
+    sigma_opt = (1.0 - mu_star) * float(np.linalg.norm(coarse.position))
 
     refined_pose, mu_opt = apply_sigma_to_pose(coarse, sigma_opt)
     diff = d - mu_opt * v0
@@ -208,8 +209,7 @@ def refine(
         mu_opt=mu_opt,
         refined_pose=refined_pose,
         estimated_dims=cad_dims.scaled(mu_opt),
-        inlier_mask=inlier_mask,
+        inliers=inliers,
         rms_residual=math.sqrt(f_opt),
-        at_bound=sigma_opt != sigma_star,
         free_space_fraction=float(np.mean(d_all > mu_opt * v_all + cfg.inlier_threshold)),
     )

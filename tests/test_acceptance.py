@@ -33,7 +33,6 @@ from depthrefine import (
 )
 from depthrefine.geometry import quat_to_matrix, quat_y, quat_z
 from depthrefine.harness import leftmost_region
-from depthrefine.refiner import residual_samples
 
 from helpers import candidate_orientation, random_quaternion
 
@@ -98,10 +97,8 @@ def test_02_optimizer_matches_closed_form_scale(capsys):
         real, coarse = generate_scene(spec, intr)
         result = refine(coarse, mesh, cad, intr, real)
         virtual0 = render_depth(mesh, coarse, intr)
-        pairs = residual_samples(real, virtual0)
-        inliers = pairs[result.inlier_mask.ravel()[pairs]]
-        d = real.data.ravel()[inliers].astype(np.float64)
-        v = virtual0.data.ravel()[inliers].astype(np.float64)
+        d = real.data.ravel()[result.inliers].astype(np.float64)
+        v = virtual0.data.ravel()[result.inliers].astype(np.float64)
         mu_hat = math.fsum(d * v) / math.fsum(v * v)
         worst = max(worst, abs(result.mu_opt - mu_hat) / result.mu_opt)
     elapsed = time.perf_counter() - t0
@@ -167,11 +164,10 @@ def test_04_occlusion_robustness(capsys):
         occluded = leftmost_region(support, intr.width, 0.2)
         clean = np.setdiff1d(support, occluded)
         result = refine(coarse, mesh, cad, intr, real)
-        inlier = result.inlier_mask.ravel()
-        worst_retain = min(worst_retain, np.count_nonzero(inlier[clean]) / len(clean))
-        worst_reject = min(
-            worst_reject, 1.0 - np.count_nonzero(inlier[occluded]) / len(occluded)
-        )
+        retained = np.count_nonzero(np.isin(clean, result.inliers))
+        kept_occluded = np.count_nonzero(np.isin(occluded, result.inliers))
+        worst_retain = min(worst_retain, retained / len(clean))
+        worst_reject = min(worst_reject, 1.0 - kept_occluded / len(occluded))
         worst_err = max(
             worst_err, dimensional_error(result.estimated_dims, cad.scaled(level))
         )

@@ -143,7 +143,6 @@ class TestRefine:
         assert doc["estimated_dims"] == pytest.approx([0.2, 0.2, 0.01], abs=1e-12)
         assert doc["inlier_count"] == int(np.count_nonzero(measured.valid_mask))
         assert doc["rms_residual"] == pytest.approx(0.0, abs=1e-12)
-        assert doc["mu_at_bound"] is False
         assert "refined_position_world" not in doc
 
     def test_scaled_measurement_recovers_mu(self, workspace):
@@ -176,17 +175,16 @@ class TestRefine:
         pairs = int(np.count_nonzero(measured.valid_mask))
         assert doc["free_space_fraction"] == pytest.approx(1.0 / pairs, rel=1e-12)
 
-    def test_mu_at_bound_flag(self, workspace):
+    def test_mu_beyond_bound_exits_4(self, workspace, capsys):
         tmp_path, _, _ = workspace
         depth_path = tmp_path / "measured.pfm"
-        # mu* = 0.75 needs sigma = 0.125 m, beyond the 0.05 m bound.
+        # mu* = 0.75 lies outside the bound [0.9, 1.1].
         true_pose = Pose(np.array([0.0, 0.0, 0.375]), UnitQuaternion.identity())
         store_depth(depth_path, render_depth(square_mesh(half=0.1), true_pose, INTRINSICS, scale=0.75))
         argv, out = self.refine_args(workspace, depth_path, "--bound-fraction", "0.1")
-        assert main(argv) == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["mu_at_bound"] is True
-        assert doc["sigma_opt"] == pytest.approx(0.05, abs=1e-12)
+        assert main(argv) == EXIT_DEGENERATE_SCENE
+        assert "mu*=0.75" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_world_frame_position_with_extrinsics(self, workspace, tmp_path):
         _, obj, _ = workspace
@@ -670,7 +668,7 @@ class TestLibraryDefaults:
         result = refine(pose, load_mesh(obj), cad_dims, intr, real, RefineConfig())
         doc = json.loads(out.read_text())
         assert doc["mu_opt"] == result.mu_opt
-        assert doc["inlier_count"] == np.count_nonzero(result.inlier_mask)
+        assert doc["inlier_count"] == len(result.inliers)
         assert 0 < doc["inlier_count"] < np.count_nonzero(real.valid_mask)
 
     def test_simulate_uses_tabletop_scene_defaults(self, tmp_path):

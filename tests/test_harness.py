@@ -10,6 +10,9 @@ from depthrefine import (
     CAD_CUBOID,
     DEFAULT_INTRINSICS,
     DEFAULT_SCALE_LEVELS,
+    DegenerateSceneError,
+    DepthMap,
+    DepthRefineError,
     EvalRecord,
     OccluderSpec,
     Pose,
@@ -417,3 +420,28 @@ class TestRoundTripProperty:
                 tilted = Pose(coarse.position, quat_mul(tilt, coarse.orientation))
                 result = refine(tilted, mesh, cad_dims, INTR, real)
                 assert abs(result.mu_opt - spec.true_scale) <= 0.01, (scene, tilt, spec.seed)
+
+    def test_loud_cells_never_succeed_wrong(self):
+        # Cells that may fail but must never refine to a wrong scale. A
+        # scale beyond the default bound [0.2, 1.8] must fail: a true scale
+        # of 0.15 or 1.9, and a noise-free map multiplied by 3 or by 1000 (a
+        # millimetre map read as metres).
+        mesh, _ = builtin_model("apple")
+        beyond = [generate_scene(tabletop_scene("t", s)) for s in (0.15, 1.9)]
+        real, coarse = generate_scene(default_sweep(seed=1)[2])
+        beyond += [(DepthMap(real.width, real.height, real.data * np.float32(k)), coarse)
+                   for k in (3, 1000)]
+        for real, coarse in beyond:
+            with pytest.raises(DegenerateSceneError, match=r"mu\*=.* outside the bound"):
+                refine(coarse, mesh, CAD_CUBOID, INTR, real)
+        # The apple at 4 and 5 m under sigma_z = 1.5e-3 z^2 depth noise,
+        # which is several times the inlier threshold there: right or loud.
+        for z in (4.0, 5.0):
+            scene = {"object_depth": z, "depth_noise": 1.5e-3 * z**2}
+            for spec in default_sweep(seed=0, **scene) + default_sweep(seed=5, **scene):
+                real, coarse = generate_scene(spec)
+                try:
+                    result = refine(coarse, mesh, CAD_CUBOID, INTR, real)
+                except DepthRefineError:
+                    continue
+                assert abs(result.mu_opt - spec.true_scale) <= 0.01, (z, spec.seed)

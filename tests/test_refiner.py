@@ -96,20 +96,24 @@ class TestObjective:
         pose = apple_pose()
         d0 = render_depth(mesh, pose, INTR)
         data = d0.data.copy()
-        rows, cols = np.divmod(pixel_support(d0)[:10], INTR.width)
+        support = pixel_support(d0)
+        rows, cols = np.divmod(support[:10], INTR.width)
         data[rows, cols] += np.float32(0.2)
         real = DepthMap(INTR.width, INTR.height, data)
-        keep = d0.valid_mask
-        keep[rows, cols] = False
-        assert objective(0.0, mesh, pose, INTR, real, keep) == 0.0
+        assert objective(0.0, mesh, pose, INTR, real, support[10:]) == 0.0
         assert objective(0.0, mesh, pose, INTR, real) > 0.0
 
-    def test_inliers_must_be_map_shaped_mask(self):
+    def test_inliers_must_be_flat_indices(self):
         mesh, _ = builtin_model("apple")
         pose = apple_pose()
         real = render_depth(mesh, pose, INTR)
-        for bad in (pixel_support(real), real.valid_mask.T, real.valid_mask.astype(np.uint8)):
-            with pytest.raises(ValueError):
+        support = pixel_support(real)
+        # Unsigned indices are refused too: numpy intersects them with
+        # int64 ones as float64, which cannot index.
+        bad_inputs = (real.valid_mask, support.astype(np.float64), support.reshape(1, -1),
+                      support.astype(np.uint64))
+        for bad in bad_inputs:
+            with pytest.raises(ValueError, match="1-D signed integer array"):
                 objective(0.0, mesh, pose, INTR, real, bad)
 
     def test_map_shape_must_match_intrinsics(self):
@@ -356,16 +360,16 @@ class TestRefine:
         assert abs(r.mu_opt - norm_out / norm_in) < 1e-9
         assert np.abs(r.estimated_dims.as_array() - r.mu_opt * CAD_CUBOID.as_array()).max() < 1e-9
         assert abs(r.mu_opt - (1.0 - r.sigma_opt / norm_in)) < 1e-9
-        bound = 0.8 * float(coarse.position[2])
-        assert -bound <= r.sigma_opt <= bound
+        assert abs(r.mu_opt - 1.0) <= 0.8
         assert r.refined_pose.orientation == coarse.orientation
         v0 = render_depth(mesh, coarse, INTR)
-        d = real.data[r.inlier_mask].astype(np.float64)
-        v = v0.data[r.inlier_mask].astype(np.float64)
+        d = real.data.ravel()[r.inliers].astype(np.float64)
+        v = v0.data.ravel()[r.inliers].astype(np.float64)
         assert r.rms_residual**2 == pytest.approx(np.mean((d - r.mu_opt * v) ** 2), rel=1e-9)
-        assert r.inlier_mask.dtype == bool
-        assert r.inlier_mask.shape == (INTR.height, INTR.width)
-        assert not r.inlier_mask.flags.writeable
+        assert r.inliers.dtype == np.int64
+        assert r.inliers.ndim == 1
+        assert np.all(np.diff(r.inliers) > 0)
+        assert not r.inliers.flags.writeable
 
     def test_deterministic(self):
         spec = tabletop_scene("t", 0.78, depth_noise=0.002, occluder_fraction=0.15, seed=24)
@@ -375,7 +379,7 @@ class TestRefine:
         b = refine(coarse, mesh, CAD_CUBOID, INTR, real)
         assert a.sigma_opt == b.sigma_opt
         assert a.mu_opt == b.mu_opt
-        assert np.array_equal(a.inlier_mask, b.inlier_mask)
+        assert np.array_equal(a.inliers, b.inliers)
         assert np.array_equal(a.refined_pose.position, b.refined_pose.position)
 
     def test_closed_form_oracle(self):
@@ -465,16 +469,15 @@ class TestClosedFormMatchesRenderedObjective:
         real, coarse = generate_scene(spec)
         mesh, _ = builtin_model("apple")
         r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
-        assert not r.at_bound
 
         def f(sigma):
-            return objective(sigma, mesh, coarse, INTR, real, r.inlier_mask)
+            return objective(sigma, mesh, coarse, INTR, real, r.inliers)
 
         f_opt = f(r.sigma_opt)
         assert r.rms_residual**2 == pytest.approx(f_opt, rel=1e-6, abs=FLOAT32_MSE_FLOOR)
         v0 = render_depth(mesh, coarse, INTR)
-        d = real.data[r.inlier_mask].astype(np.float64)
-        v = v0.data[r.inlier_mask].astype(np.float64)
+        d = real.data.ravel()[r.inliers].astype(np.float64)
+        v = v0.data.ravel()[r.inliers].astype(np.float64)
         assert r.mu_opt == pytest.approx(float(d @ v) / float(v @ v), rel=1e-9)
         assert f(r.sigma_opt - 1e-3) >= f_opt
         assert f(r.sigma_opt + 1e-3) >= f_opt
@@ -525,21 +528,22 @@ class TestLateralError:
 
 
 class TestAtBound:
-    def test_clipped_at_bound(self):
-        spec = tabletop_scene("t", 0.7, seed=26)
+    @pytest.mark.parametrize("true_scale", [0.7, 1.3])
+    def test_beyond_bound_raises(self, true_scale):
+        # A scale outside [1 - b, 1 + b] is refused, never clipped to the bound.
+        spec = tabletop_scene("t", true_scale, seed=26)
         real, coarse = generate_scene(spec)
         mesh, _ = builtin_model("apple")
-        r = refine(coarse, mesh, CAD_CUBOID, INTR, real, RefineConfig(bound_fraction=0.1))
-        pz = float(coarse.position[2])
-        assert r.at_bound
-        assert r.sigma_opt == 0.1 * pz
-        f_opt = objective(r.sigma_opt, mesh, coarse, INTR, real, r.inlier_mask)
-        for step in (1e-3, 1e-2):
-            inward = objective(r.sigma_opt - step, mesh, coarse, INTR, real, r.inlier_mask)
-            assert inward >= f_opt
+        cfg = RefineConfig(bound_fraction=0.1)
+        with pytest.raises(DegenerateSceneError, match=rf"mu\*={true_scale}\d* .*\[0\.9, 1\.1\]"):
+            refine(coarse, mesh, CAD_CUBOID, INTR, real, cfg)
+        r = refine(coarse, mesh, CAD_CUBOID, INTR, real, RefineConfig(bound_fraction=0.35))
+        assert abs(r.mu_opt - true_scale) < 1e-3
 
     def test_default_sweep_not_at_bound(self):
+        # Every default scene refines within the default bound.
         mesh, _ = builtin_model("apple")
         for spec in default_sweep():
             real, coarse = generate_scene(spec)
-            assert not refine(coarse, mesh, CAD_CUBOID, INTR, real).at_bound
+            r = refine(coarse, mesh, CAD_CUBOID, INTR, real)
+            assert abs(r.mu_opt - spec.true_scale) < 1e-3
