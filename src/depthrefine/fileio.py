@@ -27,6 +27,7 @@ from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, Unit
 from .renderer import DepthMap, TriangleMesh
 
 log = logging.getLogger(__name__)
+_STORE_BLOCK_ROWS = 4096  # store_mesh formats this many rows at a time
 
 
 def load_mesh(path) -> TriangleMesh:
@@ -83,19 +84,21 @@ def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     before, after = raw[tags[1:] - 1], raw[tags + 1]
     if tags[0] != 0 or (before != ord("\n")).any() or (after != ord(" ")).any():
         return None
-    # With each tag alone between a line start and a space, a space in its
-    # place leaves the same tokens.
-    text = buf.translate(bytes.maketrans(b"vf", b"  "))
     split = tags[n_v]
-    v_text, f_text = text[:split], text[split:]
-    if any(c in f_text for c in b"+-.eE"):
-        return None
+    del tags, before, after
+    # With each tag alone between a line start and a space, a space in its
+    # place leaves the same tokens. Each block is translated on its own, the
+    # faces after the vertices are parsed, so the buffer is never copied whole.
+    blank = bytes.maketrans(b"vf", b"  ")
     try:
         # On unmatched data numpy 2 raises ValueError; numpy < 2 warns with
         # a DeprecationWarning and truncates, which the counts also catch.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            vertices = np.fromstring(v_text, sep=" ")
+            vertices = np.fromstring(buf[:split].translate(blank), sep=" ")
+            f_text = buf[split:].translate(blank)
+            if any(c in f_text for c in b"+-.eE"):
+                return None
             indices = np.fromstring(f_text, dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):
         return None
@@ -106,7 +109,8 @@ def _parse_plain_obj(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     # int64 overflow saturates in numpy; the line parser reports the index.
     if indices.min() < 1 or indices.max() > n_v:
         return None
-    return vertices.reshape(n_v, 3), indices.reshape(n_f, 3) - 1
+    indices -= 1
+    return vertices.reshape(n_v, 3), indices.reshape(n_f, 3)
 
 
 def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -160,13 +164,14 @@ def _parse_obj_lines(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def store_mesh(path, mesh: TriangleMesh) -> None:
     """Write a mesh as an ASCII OBJ file (v and f records, 1-based indices)."""
-    # tolist() hands the f-strings Python floats and ints, which format
-    # faster than numpy scalars and to the same text.
+    # One `%` format per block of rows: tolist() hands it Python floats and
+    # ints, which format faster than numpy scalars and to the same text.
+    records = (("v %.12g %.12g %.12g\n", mesh.vertices), ("f %d %d %d\n", mesh.triangles + 1))
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y, z in mesh.vertices.tolist():
-            fh.write(f"v {x:.12g} {y:.12g} {z:.12g}\n")
-        for a, b, c in (mesh.triangles + 1).tolist():
-            fh.write(f"f {a} {b} {c}\n")
+        for line, rows in records:
+            for start in range(0, len(rows), _STORE_BLOCK_ROWS):
+                block = rows[start : start + _STORE_BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def store_depth(path, depth: DepthMap) -> None:
@@ -203,7 +208,7 @@ def load_depth(path) -> DepthMap:
         raise ValueError("big-endian PFM not supported (scale must be negative)")
 
     expected = width * height * 4
-    payload = buf[header.end() : header.end() + expected]
+    payload = memoryview(buf)[header.end() : header.end() + expected]
     if len(payload) < expected:
         raise ValueError(f"truncated payload: {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(height, width)

@@ -14,10 +14,10 @@ triangles in order. The part of an edge function that depends only on the
 row is computed once per row. The fragment stage runs inside one helper:
 each edge function is computed in place in one buffer, every
 fragment-sized array is freed once used, and none outlives the helper, so
-none is alive when the z-buffer is allocated. Per-triangle corner data is
-kept as C-ordered (3, T) arrays: gathering through a plain `triangles.T`
-gives F-ordered ones, on which every reduction over the corners is several
-times slower.
+none is alive when the z-buffer is allocated. Culling comes first, from
+the corners one at a time; only its survivors are gathered as C-ordered
+(3, K) corner arrays, since a plain `triangles.T` gather gives F-ordered
+ones, on which every reduction over the corners is several times slower.
 """
 
 from __future__ import annotations
@@ -111,52 +111,44 @@ def render_depth(
     rot = quat_to_matrix(pose.orientation)
     vx, vy, vz = (pose.position + scale * (mesh.vertices @ rot.T)).T
 
-    # Drop near-plane triangles, and divide by z only at vertices past the
-    # plane, so nothing divides by z <= 0.
+    # Divide by z only at vertices past the near plane, so nothing divides
+    # by z <= 0; the triangles using any other vertex are dropped below.
     front = vz >= NEAR_PLANE
-    tri = np.ascontiguousarray(mesh.triangles.T)
-    if not front.all():
-        tri = tri.take(np.flatnonzero(front[tri[0]] & front[tri[1]] & front[tri[2]]), axis=1)
 
     def over_z(a):
         return np.divide(a, vz, out=np.zeros_like(vz), where=front)
 
-    # Project each vertex once, then gather (3, T) corner arrays.
-    x = (over_z(intr.fx * vx) + intr.cx)[tri]
-    y = (over_z(intr.fy * vy) + intr.cy)[tri]
+    # Project each vertex once.
+    u = over_z(intr.fx * vx) + intr.cx
+    v = over_z(intr.fy * vy) + intr.cy
 
-    # Pixel-center bounding boxes, clipped to the viewport. Neither the box
-    # nor |area2| depends on the corner order, so culling comes first.
-    c = PIXEL_CENTER_OFFSET
+    # Cull before any corner array exists, on pixel-center boxes clipped to
+    # the viewport. One filter drops near-plane triangles, boxes holding no
+    # pixel center (sliver-thin), and triangles wholly off screen, whose
+    # clipped boxes land on the border column or row.
+    corners = mesh.triangles.T
+    px_lo, bw, on_x = _box(u, corners, w)
+    py_lo, bh, on_y = _box(v, corners, h)
+    on = np.flatnonzero(on_x & on_y & front[corners[0]] & front[corners[1]] & front[corners[2]])
+
+    # Gather C-ordered (3, K) corner arrays of the survivors only, then drop
+    # degenerate triangles. Neither filter depends on the corner order, and
+    # `take` is several times faster than a boolean mask here.
+    tri = np.ascontiguousarray(mesh.triangles.take(on, axis=0).T)
+    x, y = u[tri], v[tri]
+    del u, v, on_x, on_y
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
-    x_lo, x_hi = x.min(axis=0), x.max(axis=0)
-    y_lo, y_hi = y.min(axis=0), y.max(axis=0)
-    px_lo = np.clip(np.ceil(x_lo - c), 0, w - 1).astype(np.int64)
-    px_hi = np.clip(np.floor(x_hi - c), 0, w - 1).astype(np.int64)
-    py_lo = np.clip(np.ceil(y_lo - c), 0, h - 1).astype(np.int64)
-    py_hi = np.clip(np.floor(y_hi - c), 0, h - 1).astype(np.int64)
-    bw = px_hi - px_lo + 1
-    bh = py_hi - py_lo + 1
-
-    # One candidate filter: degenerate triangles, boxes holding no pixel center
-    # (sliver-thin), and triangles wholly off screen, whose clipped boxes land
-    # on the border column or row. `take` is several times faster than a
-    # boolean mask here.
-    on = np.flatnonzero(
-        (area2 != 0.0) & (bw > 0) & (bh > 0)
-        & (x_hi >= c) & (x_lo <= w - c) & (y_hi >= c) & (y_lo <= h - c)
-    )
-    x, y, tri = (a.take(on, axis=1) for a in (x, y, tri))
-    area2, px_lo, py_lo, bw, bh = (a.take(on) for a in (area2, px_lo, py_lo, bw, bh))
+    keep = np.flatnonzero(area2 != 0.0)
+    x, y, tri = (a.take(keep, axis=1) for a in (x, y, tri))
+    on = on.take(keep)
+    area2, px_lo, py_lo, bw, bh = area2.take(keep), *(a.take(on) for a in (px_lo, py_lo, bw, bh))
 
     # Force positive orientation (counter-clockwise with v down) by swapping
-    # corners 1 and 2; windings may be inconsistent in CAD meshes.
-    flip = area2 < 0.0
-    area2 = np.abs(area2)
-    x, y, tri = (
-        (a[0], np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2]))
-        for a in (x, y, tri)
-    )
+    # corners 1 and 2 in place; windings may be inconsistent in CAD meshes.
+    flip = np.flatnonzero(area2 < 0.0)
+    np.abs(area2, out=area2)
+    for a in (x, y, tri):
+        a[1:, flip] = a[:0:-1, flip]
     rz = over_z(1.0)
     flat, depth = _fragments(x, y, [rz[k] for k in tri], area2, px_lo, py_lo, bw, bh, w)
 
@@ -167,6 +159,19 @@ def render_depth(
     zbuf[flat] = np.inf
     np.minimum.at(zbuf, flat, depth)
     return DepthMap(w, h, zbuf.reshape(h, w))
+
+
+def _box(p, corners, n):
+    """First pixel center, center count and on-screen test of each triangle's
+    clipped box along one axis of `n` pixels, from its corners one at a time."""
+    c = PIXEL_CENTER_OFFSET
+    lo, hi = p[corners[0]], p[corners[0]]
+    for k in corners[1:]:
+        np.minimum(lo, p[k], out=lo)
+        np.maximum(hi, p[k], out=hi)
+    first = np.clip(np.ceil(lo - c), 0, n - 1).astype(np.int64)
+    count = np.clip(np.floor(hi - c), 0, n - 1).astype(np.int64) - first + 1
+    return first, count, (count > 0) & (hi >= c) & (lo <= n - c)
 
 
 def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, w):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ import numpy as np
 from depthrefine import CameraIntrinsics, DepthMap, TriangleMesh, UnitQuaternion, store_mesh
 from depthrefine.geometry import as_vec3, quat_mul, quat_to_matrix, quat_y, quat_z
 from depthrefine.harness import (
+    CAD_CUBOID,
     DEFAULT_INTRINSICS,
     MIN_VALID_DEPTH,
     builtin_model,
+    ellipsoid_mesh,
     leftmost_region,
     simulate_rgb_estimate,
 )
@@ -73,6 +76,31 @@ def reference_residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
 
 def write_obj(path, mesh: TriangleMesh) -> None:
     store_mesh(path, mesh)
+
+
+def reference_store_mesh(path, mesh: TriangleMesh) -> None:
+    """Per-line f-string writer whose bytes `store_mesh` must match."""
+    # tolist() hands the f-strings Python floats and ints, which format
+    # faster than numpy scalars and to the same text.
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, y, z in mesh.vertices.tolist():
+            fh.write(f"v {x:.12g} {y:.12g} {z:.12g}\n")
+        for a, b, c in (mesh.triangles + 1).tolist():
+            fh.write(f"f {a} {b} {c}\n")
+
+
+def traced_peak(fn):
+    """`fn()`'s result and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_mesh() -> TriangleMesh:
+    """The apple-sized ellipsoid at 160 x 160: 25,442 vertices, 50,880 triangles."""
+    return ellipsoid_mesh((CAD_CUBOID.dx / 2, CAD_CUBOID.dy / 2, CAD_CUBOID.dz / 2), 160, 160)
 
 
 def reference_write_json(path, doc) -> None:

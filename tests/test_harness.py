@@ -388,6 +388,25 @@ class TestRunSweep:
         assert "0/1" in table
 
 
+# Cells of the occlusion x lateral-error grid with known silent wrong
+# answers, of 10 scenes each, and the ROADMAP item meant to fix them.
+GRID_WRONG = {
+    (0.6, 0): "ROADMAP item 3: the occluder wins the consensus; 8 of 10 wrong",
+    (0.6, 5): "ROADMAP item 3: the occluder wins the consensus; 2 of 10 wrong",
+    (0.6, 10): "ROADMAP item 6: lateral error shifts the silhouette; 3 of 10 wrong",
+    (0.6, 20): "ROADMAP item 6: lateral error shifts the silhouette; 3 of 10 wrong",
+    **{(0.8, dx): "ROADMAP item 7: the outvoted object is not refused; 10 of 10 wrong"
+       for dx in (0, 5, 10, 20)},
+}
+
+
+def grid_cells():
+    for fraction, dx_mm in itertools.product((0.0, 0.5, 0.6, 0.8), (0, 5, 10, 20)):
+        reason = GRID_WRONG.get((fraction, dx_mm))
+        marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+        yield pytest.param(fraction, dx_mm, marks=marks, id=f"{fraction:.0%}-{dx_mm}mm")
+
+
 class TestRoundTripProperty:
     def test_recovery_across_scales_and_depths(self):
         mesh, _ = builtin_model("apple")
@@ -420,6 +439,26 @@ class TestRoundTripProperty:
                 tilted = Pose(coarse.position, quat_mul(tilt, coarse.orientation))
                 result = refine(tilted, mesh, cad_dims, INTR, real)
                 assert abs(result.mu_opt - spec.true_scale) <= 0.01, (scene, tilt, spec.seed)
+
+    @pytest.mark.parametrize("occluder_fraction, dx_mm", grid_cells())
+    def test_occlusion_lateral_grid(self, occluder_fraction, dx_mm):
+        # Each cell is right or loud over 10 scenes with 2 mm depth noise:
+        # the occluder hides that share of the object, and the coarse pose
+        # is off sideways by dx at the true depth.
+        mesh, _ = builtin_model("apple")
+        scene = {"occluder_fraction": occluder_fraction, "depth_noise": 0.002}
+        wrong = []
+        for spec in default_sweep(seed=0, **scene) + default_sweep(seed=5, **scene):
+            real, coarse = generate_scene(spec)
+            p = coarse.position.copy()
+            p[0] += dx_mm * 1e-3 * p[2] / spec.true_pose.position[2]
+            try:
+                result = refine(Pose(p, coarse.orientation), mesh, CAD_CUBOID, INTR, real)
+            except DepthRefineError:
+                continue
+            if abs(result.mu_opt - spec.true_scale) > 0.01:
+                wrong.append((spec.scene_id, spec.seed))
+        assert not wrong
 
     def test_loud_cells_never_succeed_wrong(self):
         # Cells that may fail but must never refine to a wrong scale. A

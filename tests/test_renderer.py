@@ -1,7 +1,6 @@
 """Software depth rasterizer: coverage, perspective-correct depth, z-buffer."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,8 +25,16 @@ from depthrefine.harness import (
     ellipsoid_mesh,
     generate_scene,
     simulate_rgb_estimate,
+    tabletop_scene,
 )
-from helpers import project, random_quaternion, reference_render_depth, square_mesh
+from helpers import (
+    dense_mesh,
+    project,
+    random_quaternion,
+    reference_render_depth,
+    square_mesh,
+    traced_peak,
+)
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -470,14 +477,23 @@ class TestTransientMemory:
         assert spec.true_scale == 1.011
         coarse = simulate_rgb_estimate(spec.true_pose, spec.true_scale)
         want = render_depth(mesh, coarse, INTR)
-        tracemalloc.start()
-        try:
-            got = render_depth(mesh, coarse, INTR)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: render_depth(mesh, coarse, INTR))
         assert got.data.tobytes() == want.data.tobytes()
         assert peak < 3_600_000
+
+    def test_dense_render_in_bounded_memory(self):
+        # The 50,880-triangle mesh at its tabletop pose, where 24,108
+        # triangles survive the cull. Culling before any (3, T) corner array
+        # and swapping corners in place keeps the peak near 7.7 MB; corner
+        # arrays of every triangle took 11.0 MB. The bound leaves 1.3 MB of
+        # margin above the first and 2.0 MB below the second.
+        mesh = dense_mesh()
+        pose = tabletop_scene("dense", 0.793).true_pose
+        want = reference_render_depth(mesh, pose, INTR, scale=0.793)
+        got, peak = traced_peak(lambda: render_depth(mesh, pose, INTR, scale=0.793))
+        assert got.valid_mask.sum() > 5000
+        assert got.data.tobytes() == want.data.tobytes()
+        assert peak < 9_000_000
 
 
 class TestDeterminism:
