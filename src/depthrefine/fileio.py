@@ -47,9 +47,14 @@ def load_mesh(path) -> TriangleMesh:
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
     # Validated first, so no non-finite vertex reaches the mean. The parsed
-    # array is the mesh's own, so it is re-centered in place.
-    offset = mesh.vertices.mean(axis=0)
-    np.subtract(mesh.vertices, offset, out=mesh.vertices)
+    # array is the mesh's own, so it is re-centered in place. Finite
+    # coordinates near the float64 limit can still overflow in the sum or
+    # the shift; min and max propagate NaN and hold any inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = mesh.vertices.mean(axis=0)
+        np.subtract(mesh.vertices, offset, out=mesh.vertices)
+    if not (np.isfinite(mesh.vertices.min()) and np.isfinite(mesh.vertices.max())):
+        raise ValueError(f"{path.name}: re-centering the vertices overflows float64")
     log.info(
         "loaded %s: %d vertices, %d triangles, re-centered by (%g, %g, %g)",
         path.name, len(mesh.vertices), len(mesh.triangles), *offset,

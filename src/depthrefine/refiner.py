@@ -28,7 +28,8 @@ from .geometry import (
     Pose,
     apply_sigma_to_pose,
 )
-from .renderer import DepthMap, TriangleMesh, pixel_support, render_depth
+# objective calls render_depth; the benchmark tracer also wraps it here.
+from .renderer import DepthMap, TriangleMesh, _rasterize, pixel_support, render_depth
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,15 @@ def refine(
 ) -> RefinementResult:
     """Correct a scale-ambiguous pose against a measured depth map.
 
-    Renders once at sigma=0, pairs rendered and measured depths and
-    freezes a robust inlier set (the silhouette is sigma-invariant, so one
-    vote suffices). Because the render at sigma equals mu times the
-    sigma=0 render v0 on the same pixels (up to float32 rounding), the
-    objective mean((d - mu*v0)^2) over the inliers is a convex quadratic in
-    mu, and so in sigma, minimized by mu* = <d,v0>/<v0,v0> at sigma* =
-    (1 - mu*)*||p||. A mu* outside [1 - bound_fraction, 1 + bound_fraction]
-    raises DegenerateSceneError. The orientation passes through untouched;
+    Rasterizes once at sigma=0 over the object's window only (no
+    full-frame z-buffer or mask), pairs each covered pixel with its
+    measured depth and freezes a robust inlier set (the silhouette is
+    sigma-invariant, so one vote suffices). Because the render at sigma
+    equals mu times the sigma=0 render v0 on the same pixels (up to
+    float32 rounding), the objective mean((d - mu*v0)^2) over the inliers
+    is a convex quadratic in mu, and so in sigma, minimized by
+    mu* = <d,v0>/<v0,v0> at sigma* = (1 - mu*)*||p||. A mu* outside
+    [1 - bound_fraction, 1 + bound_fraction] raises DegenerateSceneError. The orientation passes through untouched;
     `inliers` holds the ascending flat indices of the consenting pixels.
     """
     if cfg is None:
@@ -177,12 +179,14 @@ def refine(
     if (real.height, real.width) != (intr.height, intr.width):
         raise ValueError("real depth map dimensions do not match intrinsics")
 
-    virtual0 = render_depth(mesh, coarse, intr)
-    pairs = residual_samples(real, virtual0)
+    support, depths = _rasterize(mesh, coarse, intr)
+    measured = real.data.ravel()[support]
+    hit = measured > 0.0
+    pairs = support[hit]
     if pairs.size == 0:
         raise NoOverlapError("no pixel is valid in both the render and the measurement")
-    d_all = real.data.ravel()[pairs].astype(np.float64)
-    v_all = virtual0.data.ravel()[pairs].astype(np.float64)
+    d_all = measured[hit].astype(np.float64)
+    v_all = depths[hit].astype(np.float64)
     keep = ransac_inliers(d_all, v_all, cfg)
     d = d_all[keep]
     v0 = v_all[keep]

@@ -8,16 +8,22 @@ edges. Depth is perspective-correct (1/z interpolated barycentrically in
 screen space). No back-face culling; the z-buffer alone resolves
 visibility.
 
+Culling comes first, from the corners one at a time; only its survivors
+are gathered as C-ordered (3, K) corner arrays, since a plain
+`triangles.T` gather gives F-ordered ones, on which every reduction over
+the corners is several times slower. The z-buffer spans only the window
+of the survivors' pixel-center boxes, not the frame.
+
 Fragments are expanded in two levels: the rows of each triangle's
 pixel-center box, then the columns of each row, by `np.repeat` over the
 triangles in order. The part of an edge function that depends only on the
-row is computed once per row. The fragment stage runs inside one helper:
+row is computed once per row. Triangles are expanded in consecutive runs
+of a bounded number of box pixel centers, each run inside one helper:
 each edge function is computed in place in one buffer, every
 fragment-sized array is freed once used, and none outlives the helper, so
-none is alive when the z-buffer is allocated. Culling comes first, from
-the corners one at a time; only its survivors are gathered as C-ordered
-(3, K) corner arrays, since a plain `triangles.T` gather gives F-ordered
-ones, on which every reduction over the corners is several times slower.
+at most one run's fragments are alive at a time. `render_depth` scatters
+the covered pixels into a full frame; `refine` and `generate_scene` take
+them as they are.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ NEAR_PLANE = 1e-4
 
 # Pixel (row i, col j) has its center at (u, v) = (j + 0.5, i + 0.5).
 PIXEL_CENTER_OFFSET = 0.5
+
+# Most box pixel centers expanded into fragments at once.
+_FRAGMENT_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,21 @@ def render_depth(
     Triangles with any vertex in front of the near plane are discarded; a
     mesh entirely behind the camera yields an all-invalid map.
     """
+    support, depths = _rasterize(mesh, pose, intr, scale)
+    zbuf = np.zeros(intr.width * intr.height, dtype=np.float32)
+    zbuf[support] = depths
+    return DepthMap(intr.width, intr.height, zbuf.reshape(intr.height, intr.width))
+
+
+def _rasterize(
+    mesh: TriangleMesh, pose: Pose, intr: CameraIntrinsics, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending int64 flat indices of the pixels `render_depth` covers, and
+    their float32 depths, without a full frame.
+
+    Raises ValueError when a covered depth is not finite in float32, as
+    `DepthMap` would.
+    """
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     w, h = intr.width, intr.height
@@ -142,6 +166,8 @@ def render_depth(
     x, y, tri = (a.take(keep, axis=1) for a in (x, y, tri))
     on = on.take(keep)
     area2, px_lo, py_lo, bw, bh = area2.take(keep), *(a.take(on) for a in (px_lo, py_lo, bw, bh))
+    if on.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float32)
 
     # Force positive orientation (counter-clockwise with v down) by swapping
     # corners 1 and 2 in place; windings may be inconsistent in CAD meshes.
@@ -150,15 +176,41 @@ def render_depth(
     for a in (x, y, tri):
         a[1:, flip] = a[:0:-1, flip]
     rz = over_z(1.0)
-    flat, depth = _fragments(x, y, [rz[k] for k in tri], area2, px_lo, py_lo, bw, bh, w)
+    rz = [rz[k] for k in tri]
 
+    # The z-buffer spans only the survivors' pixel-center boxes, and starts
+    # at +inf so that a covered pixel is one holding a finite depth.
+    x0, y0 = int(px_lo.min()), int(py_lo.min())
+    ww = int((px_lo + bw).max()) - x0
+    hh = int((py_lo + bh).max()) - y0
+    zwin = np.full(ww * hh, np.inf, dtype=np.float32)
+
+    # Triangles go to the fragment stage in consecutive runs of at most
+    # _FRAGMENT_BLOCK box pixel centers (a larger triangle runs alone), so
+    # the fragment arrays stay small however many triangles survive.
     # Rounding to float32 is monotone, so taking the minimum after rounding
-    # stores the same value as rounding the float64 minimum. Uncovered pixels
-    # keep 0.0, the invalid depth; only covered ones start from +inf.
-    zbuf = np.zeros(w * h, dtype=np.float32)
-    zbuf[flat] = np.inf
-    np.minimum.at(zbuf, flat, depth)
-    return DepthMap(w, h, zbuf.reshape(h, w))
+    # stores the same value as rounding the float64 minimum.
+    ends = np.cumsum(bw * bh)
+    start = 0
+    while start < on.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _FRAGMENT_BLOCK, "right")), start + 1)
+        run = slice(start, stop)
+        flat, depth = _fragments(
+            x[:, run], y[:, run], [r[run] for r in rz], area2[run],
+            px_lo[run], py_lo[run], bw[run], bh[run], ww, x0, y0,
+        )
+        # max propagates NaN and holds any inf; every depth is positive.
+        if not np.isfinite(depth.max(initial=0.0)):
+            raise ValueError("depth values must be finite")
+        np.minimum.at(zwin, flat, depth)
+        start = stop
+
+    covered = np.flatnonzero(zwin != np.inf)
+    depths = zwin[covered]
+    # Window rows are ww wide and frame rows w wide.
+    covered += (covered // ww) * (w - ww) + (y0 * w + x0)
+    return covered, depths
 
 
 def _box(p, corners, n):
@@ -174,14 +226,15 @@ def _box(p, corners, n):
     return first, count, (count > 0) & (hi >= c) & (lo <= n - c)
 
 
-def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, w):
-    """Flat pixel indices and float32 depths of the covered pixel centers.
+def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, ww, x0, y0):
+    """Window flat indices and float32 depths of the covered pixel centers.
 
     Takes positively oriented triangles as corner arrays `x`, `y` (screen
     position) and `rz` (1/z), twice their areas, and their clipped
     pixel-center boxes: top-left corner `px_lo`, `py_lo`, size `bw` x `bh`.
-    Rows are `w` pixels wide. Every fragment-sized array is freed as soon
-    as it has been used.
+    Indices count row-major in a window `ww` pixels wide whose top-left
+    pixel is (x0, y0); a depth that overflows float32 comes out as inf.
+    Every fragment-sized array is freed as soon as it has been used.
     """
     c = PIXEL_CENTER_OFFSET
 
@@ -193,7 +246,7 @@ def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, w):
     cw = np.repeat(bw, bh)
     flat = np.arange(int(cw.sum())) + np.repeat(np.repeat(px_lo, bh) - (np.cumsum(cw) - cw), cw)
     cu = flat + c
-    flat += np.repeat(py * w, cw)
+    flat += np.repeat((py - y0) * ww - x0, cw)
     cv = py + c
 
     # Edge functions with the top-left fill rule: with v down and positive
@@ -225,7 +278,8 @@ def _fragments(x, y, rz, area2, px_lo, py_lo, bw, bh, w):
     # exact for planar triangles.
     t = np.repeat(np.arange(counts.shape[0]), counts).take(keep)
     inv_z = (e12 * rz[0][t] + e20 * rz[1][t] + e01 * rz[2][t]) / area2[t]
-    return flat, (1.0 / inv_z).astype(np.float32)
+    with np.errstate(divide="ignore", over="ignore"):
+        return flat, (1.0 / inv_z).astype(np.float32)
 
 
 def pixel_support(d: DepthMap) -> np.ndarray:

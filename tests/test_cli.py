@@ -428,6 +428,18 @@ class TestInvalidInputs:
         assert main(argv) == EXIT_INVALID_INPUT
         assert "bad.obj" in capsys.readouterr().err
 
+    def test_mesh_overflowing_on_recentering_exits_2(self, workspace, capsys):
+        # Every coordinate is finite, but the x sum overflows float64: the
+        # mesh used to load with x = -inf and render no pixel.
+        tmp_path, _, scene = workspace
+        big = tmp_path / "big.obj"
+        big.write_text("v 1e308 0 0\nv 1e308 1 0\nv 0 0 1\nf 1 2 3\n")
+        out = tmp_path / "d.pfm"
+        argv = ["render", "--mesh", str(big), "--scene", scene, "--out", str(out)]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "big.obj" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, workspace, tmp_path):
         _, obj, scene = workspace
         argv = ["refine", "--mesh", obj, "--scene", scene,

@@ -37,7 +37,7 @@ from depthrefine.harness import (
     simulate_rgb_estimate,
     summary_table,
 )
-from helpers import reference_ellipsoid_mesh, reference_generate_scene
+from helpers import reference_ellipsoid_mesh, reference_generate_scene, traced_peak
 
 INTR = DEFAULT_INTRINSICS
 
@@ -196,6 +196,18 @@ class TestGenerateScene:
             assert real.data.tobytes() == want.data.tobytes(), spec
             assert coarse.position.tobytes() == want_coarse.position.tobytes()
             assert coarse.orientation == want_coarse.orientation
+
+    def test_occluded_noisy_scene_in_bounded_memory(self):
+        # The eval-occluded mix. Rasterizing only the object's window, in
+        # blocks, keeps the peak near 1.41 MB; a full-frame render and
+        # support scan took 2.64 MB.
+        spec = tabletop_scene("t", 0.7, occluder_fraction=0.2, depth_noise=0.002,
+                              shape_noise=0.002, seed=3)
+        builtin_model(spec.mesh_id)  # built and cached outside the trace
+        (real, _), peak = traced_peak(lambda: generate_scene(spec))
+        want, _ = reference_generate_scene(spec)
+        assert real.data.tobytes() == want.data.tobytes()
+        assert peak < 2_000_000
 
     def test_errors_match_full_frame_oracle(self):
         unseen = tabletop_scene("unseen", 0.8, object_depth=1e6)

@@ -91,6 +91,18 @@ class TestLoadMesh:
             load_mesh(path)
         assert "re-centered" in caplog.text
 
+    @pytest.mark.parametrize("text", [
+        # The x sum overflows.
+        "v 1e308 0 0\nv 1e308 1 0\nv 0 0 1\nf 1 2 3\n",
+        # The sum and the mean are finite; 1.7e308 minus the mean is not.
+        "v 1.7e308 0 0\nv -1.7e308 1 0\nv -1.7e308 0 1\nf 1 2 3\n",
+    ])
+    def test_recentering_overflow_rejected(self, tmp_path, text):
+        path = tmp_path / "big.obj"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"big\.obj: re-centering the vertices overflows"):
+            load_mesh(path)
+
     def test_slash_bundles_and_negative_indices(self, tmp_path):
         path = tmp_path / "m.obj"
         path.write_text(

@@ -29,7 +29,7 @@ from depthrefine import (
 from depthrefine.geometry import quat_x
 from depthrefine.refiner import objective, ransac_inliers, residual_samples
 import depthrefine.refiner as refiner_module
-from helpers import reference_residual_samples
+from helpers import reference_residual_samples, square_mesh, traced_peak
 
 INTR = DEFAULT_INTRINSICS
 
@@ -425,23 +425,46 @@ class TestRefine:
 
     def test_one_render_per_refine(self, monkeypatch):
         calls = []
+        rasterize = refiner_module._rasterize
 
         def counting_render(*args, **kwargs):
             calls.append(1)
-            return render_depth(*args, **kwargs)
+            return rasterize(*args, **kwargs)
 
-        monkeypatch.setattr(refiner_module, "render_depth", counting_render)
+        monkeypatch.setattr(refiner_module, "_rasterize", counting_render)
         spec = tabletop_scene("t", 0.8, occluder_fraction=0.2, seed=25)
         real, coarse = generate_scene(spec)
         mesh, _ = builtin_model("apple")
         refine(coarse, mesh, CAD_CUBOID, INTR, real)
         assert len(calls) == 1
 
+    def test_depth_beyond_float32_raises_value_error(self):
+        # Finite vertices whose depths, 5e38 m, overflow float32: the same
+        # error a DepthMap of them raises.
+        real = DepthMap(INTR.width, INTR.height, np.ones((INTR.height, INTR.width), np.float32))
+        pose = Pose(np.array([0.0, 0.0, 5e38]), UnitQuaternion.identity())
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            refine(pose, square_mesh(1e38), CAD_CUBOID, INTR, real)
+
+    def test_occluded_noisy_refine_in_bounded_memory(self):
+        # The eval-occluded mix. Rasterizing only the object's window, in
+        # blocks, keeps the peak near 1.07 MB; a full-frame render and
+        # support scan took 1.58 MB.
+        spec = tabletop_scene("t", 0.7, occluder_fraction=0.2, depth_noise=0.002,
+                              shape_noise=0.002, seed=3)
+        real, coarse = generate_scene(spec)
+        mesh, _ = builtin_model("apple")
+        got, peak = traced_peak(lambda: refine(coarse, mesh, CAD_CUBOID, INTR, real))
+        pairs = reference_residual_samples(real, render_depth(mesh, coarse, INTR))
+        assert np.isin(got.inliers, pairs).all()
+        assert abs(got.mu_opt - 0.7) <= 0.01
+        assert peak < 1_300_000
+
     def test_size_mismatch_rejected_before_render(self, monkeypatch):
         def failing_render(*args, **kwargs):
             raise AssertionError("rendered before the size check")
 
-        monkeypatch.setattr(refiner_module, "render_depth", failing_render)
+        monkeypatch.setattr(refiner_module, "_rasterize", failing_render)
         mesh, _ = builtin_model("apple")
         real = DepthMap(INTR.width, INTR.height - 1, np.ones((INTR.height - 1, INTR.width)))
         with pytest.raises(ValueError, match="dimensions"):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from depthrefine import (
     pixel_support,
     render_depth,
 )
+from depthrefine import renderer
 from depthrefine.geometry import quat_x
 from depthrefine.harness import (
     default_sweep,
@@ -466,12 +468,71 @@ class TestReferenceOracle:
             assert render_oracle_bytes(mesh, pose, INTR).valid_mask.sum() > 100
 
 
+def rasterize_oracle(mesh, pose, intr, scale=1.0):
+    """`_rasterize`, checked against the support and gathered depths of
+    `reference_render_depth`."""
+    support, depths = renderer._rasterize(mesh, pose, intr, scale)
+    want = reference_render_depth(mesh, pose, intr, scale)
+    want_support = pixel_support(want)
+    assert support.dtype == np.int64 and depths.dtype == np.float32
+    assert support.tobytes() == want_support.tobytes()
+    assert depths.tobytes() == want.data.ravel()[want_support].tobytes()
+    return support, depths
+
+
+class TestRasterize:
+    @settings(max_examples=200, deadline=None)
+    @given(soup_scenes, st.sampled_from([1, 5, 64, renderer._FRAGMENT_BLOCK]))
+    def test_soup_matches_oracle(self, p, block):
+        # Small blocks split the soups' triangles into many runs.
+        _, mesh, pose, intr, scale = soup_scene(p)
+        with mock.patch.object(renderer, "_FRAGMENT_BLOCK", block):
+            rasterize_oracle(mesh, pose, intr, scale)
+
+    def test_triangle_larger_than_a_block_runs_alone(self):
+        # A triangle 200 px wide and tall behind the apple, between its
+        # triangles in the mesh order: its box alone holds more than a block.
+        apple, _ = builtin_model("apple")
+        half = 100.0 * 0.6 / INTR.fx
+        big = np.array([[-half, -half, 0.1], [half, -half, 0.1], [0.0, half, 0.1]])
+        n = len(apple.vertices)
+        mid = len(apple.triangles) // 2
+        tris = np.vstack([apple.triangles[:mid], [[n, n + 1, n + 2]], apple.triangles[mid:]])
+        mesh = TriangleMesh(np.vstack([apple.vertices, big]), tris)
+        pose = Pose(np.array([0.01, -0.02, 0.5]), UnitQuaternion.identity())
+        support, _ = rasterize_oracle(mesh, pose, INTR)
+        assert support.size > renderer._FRAGMENT_BLOCK
+
+    def test_window_touching_all_four_borders(self):
+        # The square overfills the frame: the window is the whole frame, and
+        # the box of each of its two triangles holds far more than a block.
+        support, depths = rasterize_oracle(square_mesh(1.0), frontal_pose(1.0), INTR)
+        assert support.size == INTR.width * INTR.height
+        assert np.all(depths == np.float32(1.0))
+
+    @pytest.mark.parametrize("position", [[0.0, 0.0, -1.0], [0.0, 3.0, 1.0], [5.0, 0.0, 1.0]])
+    def test_all_culled_mesh_gives_empty_arrays(self, position):
+        mesh, _ = builtin_model("apple")
+        pose = Pose(np.array(position), UnitQuaternion.identity())
+        support, depths = rasterize_oracle(mesh, pose, INTR)
+        assert support.shape == depths.shape == (0,)
+
+    def test_depth_beyond_float32_raises_as_depth_map_does(self):
+        # Every vertex is finite, but 5e38 m overflows float32.
+        pose = frontal_pose(5e38)
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            renderer._rasterize(square_mesh(1e38), pose, INTR)
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            render_depth(square_mesh(1e38), pose, INTR)
+
+
 class TestTransientMemory:
     def test_largest_pick_render_in_bounded_memory(self):
         # The coarse pose of the largest apple of the pick sweep: 52,274
-        # fragments in the triangles' pixel-center boxes. Freeing each
-        # fragment array once used keeps the peak near 3.0 MB; keeping them
-        # all alive up to the z-buffer takes 5.1 MB.
+        # fragments in the triangles' pixel-center boxes. Expanding them in
+        # blocks into a z-buffer over the object's window keeps the peak near
+        # 1.35 MB, most of it the output frame; expanding all of them at once
+        # into a full-frame z-buffer took 2.9 MB.
         mesh, _ = builtin_model("apple")
         spec = default_sweep(seed=1)[-1]
         assert spec.true_scale == 1.011
@@ -479,14 +540,14 @@ class TestTransientMemory:
         want = render_depth(mesh, coarse, INTR)
         got, peak = traced_peak(lambda: render_depth(mesh, coarse, INTR))
         assert got.data.tobytes() == want.data.tobytes()
-        assert peak < 3_600_000
+        assert peak < 2_200_000
 
     def test_dense_render_in_bounded_memory(self):
         # The 50,880-triangle mesh at its tabletop pose, where 24,108
         # triangles survive the cull. Culling before any (3, T) corner array
-        # and swapping corners in place keeps the peak near 7.7 MB; corner
-        # arrays of every triangle took 11.0 MB. The bound leaves 1.3 MB of
-        # margin above the first and 2.0 MB below the second.
+        # and swapping corners in place keeps the peak near 6.3 MB (7.7 MB
+        # with every fragment expanded at once into a full-frame z-buffer);
+        # corner arrays of every triangle took 11.0 MB.
         mesh = dense_mesh()
         pose = tabletop_scene("dense", 0.793).true_pose
         want = reference_render_depth(mesh, pose, INTR, scale=0.793)
