@@ -100,21 +100,6 @@ def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(w, x, y, z)
 
 
-def rotate(q: UnitQuaternion, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion (preserves the norm)."""
-    vec = as_vec3(v)
-    # v + w*t + qv x t with t = 2*(qv x v), written out on floats: each
-    # component takes the products and differences `np.cross` takes.
-    x, y, z = q.x, q.y, q.z
-    vx, vy, vz = vec.tolist()
-    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
-    return np.array([
-        vx + q.w * tx + (y * tz - z * ty),
-        vy + q.w * ty + (z * tx - x * tz),
-        vz + q.w * tz + (x * ty - y * tx),
-    ])
-
-
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     """3x3 rotation matrix of a unit quaternion."""
     w, x, y, z = q.w, q.x, q.y, q.z
@@ -159,8 +144,9 @@ class Pose:
 
 
 def transform_point(pose: Pose, point) -> np.ndarray:
-    """Map a point from the pose's local frame into its parent frame."""
-    return rotate(pose.orientation, point) + pose.position
+    """Map a point from the pose's local frame into its parent frame, by the
+    rotation matrix the renderer poses vertices with."""
+    return quat_to_matrix(pose.orientation) @ as_vec3(point) + pose.position
 
 
 @dataclass(frozen=True)

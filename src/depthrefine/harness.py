@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .refiner import refine
 # render_depth and pixel_support stay module attributes for the benchmark tracer.
-from .renderer import DepthMap, TriangleMesh, _rasterize, pixel_support, render_depth
+from .renderer import DepthMap, TriangleMesh, _frame, _rasterize, pixel_support, render_depth
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480
@@ -107,6 +107,9 @@ def builtin_model(mesh_id: str) -> tuple[TriangleMesh, CuboidDims]:
         mesh = cuboid_mesh(dims)
     else:
         raise ValueError(f"unknown mesh id {mesh_id!r}")
+    # Every caller shares the cached arrays, so none may write to them.
+    mesh.vertices.flags.writeable = False
+    mesh.triangles.flags.writeable = False
     return mesh, dims
 
 
@@ -235,10 +238,7 @@ def generate_scene(
         noise = rng.normal(0.0, spec.depth_noise, support.size)
         depths = np.maximum(depths + noise, MIN_VALID_DEPTH)
 
-    data = np.zeros(intr.width * intr.height, dtype=np.float32)
-    data[support] = depths
-    real = DepthMap(intr.width, intr.height, data.reshape(intr.height, intr.width))
-    return real, simulate_rgb_estimate(spec.true_pose, spec.true_scale)
+    return _frame(intr, support, depths), simulate_rgb_estimate(spec.true_pose, spec.true_scale)
 
 
 def tabletop_scene(

@@ -29,7 +29,7 @@ from .geometry import (
     apply_sigma_to_pose,
 )
 # objective calls render_depth; the benchmark tracer also wraps it here.
-from .renderer import DepthMap, TriangleMesh, _rasterize, pixel_support, render_depth
+from .renderer import DepthMap, TriangleMesh, _rasterize, render_depth
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,11 @@ def residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
     """Flat row-major int64 indices of the pixels valid in both maps.
 
     `DepthMap` guarantees that every valid depth is finite and positive,
-    so each index pairs two usable depths. The rendered support is found
-    first and the measured map is read only there.
+    so each index pairs two usable depths.
     """
     if real.data.shape != virtual.data.shape:
         raise ValueError("depth map shapes differ")
-    support = pixel_support(virtual)
-    return support[real.data.ravel()[support] > 0.0]
+    return np.flatnonzero(real.valid_mask & virtual.valid_mask)
 
 
 def objective(

@@ -21,9 +21,9 @@ row is computed once per row. Triangles are expanded in consecutive runs
 of a bounded number of box pixel centers, each run inside one helper:
 each edge function is computed in place in one buffer, every
 fragment-sized array is freed once used, and none outlives the helper, so
-at most one run's fragments are alive at a time. `render_depth` scatters
-the covered pixels into a full frame; `refine` and `generate_scene` take
-them as they are.
+at most one run's fragments are alive at a time. `_frame` scatters the
+covered pixels into a full frame for `render_depth` and `generate_scene`;
+`refine` takes them as they are.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ class DepthMap:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
+        # A value beyond float32 casts to inf, which the check below refuses.
+        with np.errstate(over="ignore"):
+            data = np.asarray(self.data, dtype=np.float32)
         if data.shape != (self.height, self.width):
             raise ValueError(
                 f"data shape {data.shape} does not match {self.height}x{self.width}"
@@ -113,10 +115,16 @@ def render_depth(
     Triangles with any vertex in front of the near plane are discarded; a
     mesh entirely behind the camera yields an all-invalid map.
     """
-    support, depths = _rasterize(mesh, pose, intr, scale)
-    zbuf = np.zeros(intr.width * intr.height, dtype=np.float32)
-    zbuf[support] = depths
-    return DepthMap(intr.width, intr.height, zbuf.reshape(intr.height, intr.width))
+    return _frame(intr, *_rasterize(mesh, pose, intr, scale))
+
+
+def _frame(intr: CameraIntrinsics, support: np.ndarray, depths: np.ndarray) -> DepthMap:
+    """The frame of `intr` with `depths` at the flat indices `support`, 0.0 elsewhere."""
+    data = np.zeros(intr.width * intr.height, dtype=np.float32)
+    # A depth beyond float32 lands as inf, which DepthMap refuses.
+    with np.errstate(over="ignore"):
+        data[support] = depths
+    return DepthMap(intr.width, intr.height, data.reshape(intr.height, intr.width))
 
 
 def _rasterize(
@@ -125,15 +133,17 @@ def _rasterize(
     """Ascending int64 flat indices of the pixels `render_depth` covers, and
     their float32 depths, without a full frame.
 
-    Raises ValueError when a covered depth is not finite in float32, as
-    `DepthMap` would.
+    Raises ValueError when a posed or projected vertex is not finite, or a
+    covered depth not finite in float32, as `DepthMap` would.
     """
     if not (np.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     w, h = intr.width, intr.height
 
     rot = quat_to_matrix(pose.orientation)
-    vx, vy, vz = (pose.position + scale * (mesh.vertices @ rot.T)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        posed = pose.position + scale * (mesh.vertices @ rot.T)
+    vx, vy, vz = posed.T
 
     # Divide by z only at vertices past the near plane, so nothing divides
     # by z <= 0; the triangles using any other vertex are dropped below.
@@ -142,9 +152,13 @@ def _rasterize(
     def over_z(a):
         return np.divide(a, vz, out=np.zeros_like(vz), where=front)
 
-    # Project each vertex once.
-    u = over_z(intr.fx * vx) + intr.cx
-    v = over_z(intr.fy * vy) + intr.cy
+    # Project each vertex once. A vertex posed or projected beyond float64
+    # is refused rather than rendered.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = over_z(intr.fx * vx) + intr.cx
+        v = over_z(intr.fy * vy) + intr.cy
+    if not (np.isfinite(posed).all() and np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("mesh vertices must be finite once posed and projected")
 
     # Cull before any corner array exists, on pixel-center boxes clipped to
     # the viewport. One filter drops near-plane triangles, boxes holding no

@@ -62,16 +62,12 @@ def reference_normalize(w, x, y, z) -> tuple[float, float, float, float]:
 
 
 def reference_rotate(q: UnitQuaternion, v) -> np.ndarray:
-    """`np.cross` form of the rotation that `rotate` must match bit for bit."""
+    """`np.cross` form of the quaternion rotation, an oracle for the matrix
+    form that `transform_point` and the renderer use."""
     vec = as_vec3(v)
     qv = np.array([q.x, q.y, q.z])
     t = 2.0 * np.cross(qv, vec)
     return vec + q.w * t + np.cross(qv, t)
-
-
-def reference_residual_samples(real: DepthMap, virtual: DepthMap) -> np.ndarray:
-    """Whole-frame pairing that `residual_samples` must match exactly."""
-    return np.flatnonzero(real.valid_mask & virtual.valid_mask)
 
 
 def write_obj(path, mesh: TriangleMesh) -> None:
@@ -256,7 +252,7 @@ def reference_generate_scene(spec, intr=DEFAULT_INTRINSICS):
         noisy = data[valid] + rng.normal(0.0, spec.depth_noise, int(valid.sum()))
         data[valid] = np.maximum(noisy, MIN_VALID_DEPTH)
 
-    real = DepthMap(intr.width, intr.height, data.astype(np.float32))
+    real = DepthMap(intr.width, intr.height, data)
     return real, simulate_rgb_estimate(spec.true_pose, spec.true_scale)
 
 

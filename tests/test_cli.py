@@ -440,6 +440,19 @@ class TestInvalidInputs:
         assert "big.obj" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("coord, scale", [("1e300", "1e10"), ("1e307", "1")], ids=["posed", "projected"])
+    def test_mesh_overflowing_when_posed_exits_2(self, workspace, capsys, coord, scale):
+        # Finite vertices that overflow float64 once scaled and posed, or
+        # once projected, used to exit 1 on an overflow warning.
+        tmp_path, _, scene = workspace
+        big = tmp_path / "big.obj"
+        big.write_text(f"v 0 0 {coord}\nv {coord} 0 -{coord}\nv 0 {coord} 0\nf 1 2 3\n")
+        out = tmp_path / "d.pfm"
+        argv = ["render", "--mesh", str(big), "--scene", scene, "--scale", scale, "--out", str(out)]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "mesh vertices must be finite once posed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, workspace, tmp_path):
         _, obj, scene = workspace
         argv = ["refine", "--mesh", obj, "--scene", scene,
@@ -635,6 +648,14 @@ class TestSimulateAndEval:
         argv += ["--occluder-fraction", "0.2", f"--occluder-offset={offset}"]
         assert main(argv) == EXIT_INVALID_INPUT
         assert "no pixel of its region" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_depth_noise_beyond_float32_exits_2(self, tmp_path, capsys, command):
+        # Noisy depths beyond float32 used to exit 1 on an overflow warning.
+        argv, outputs = scene_command(command, tmp_path)
+        assert main(argv + ["--depth-noise", "1e39"]) == EXIT_INVALID_INPUT
+        assert "depth values must be finite" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("command, flags, message", [

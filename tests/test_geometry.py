@@ -17,7 +17,8 @@ from depthrefine import (
     quat_mul,
     transform_point,
 )
-from depthrefine.geometry import as_vec3, quat_to_matrix, quat_y, quat_z, rotate
+from depthrefine.geometry import as_vec3, quat_to_matrix, quat_y, quat_z
+from depthrefine.harness import tabletop_scene
 from helpers import conjugate, project, random_quaternion, reference_normalize, reference_rotate
 
 
@@ -80,7 +81,7 @@ class TestUnitQuaternion:
         for _ in range(20):
             q = random_quaternion(rng)
             v = rng.normal(size=3)
-            back = rotate(conjugate(q), rotate(q, v))
+            back = quat_to_matrix(conjugate(q)) @ (quat_to_matrix(q) @ v)
             assert np.allclose(back, v, atol=1e-12)
 
 
@@ -112,29 +113,50 @@ class TestQuatMul:
 
 
 class TestRotate:
+    """Points rotate by `quat_to_matrix`, in `transform_point` as in the renderer."""
+
     def test_identity(self):
-        v = rotate(UnitQuaternion.identity(), (1.0, 2.0, 3.0))
-        assert np.allclose(v, [1, 2, 3], atol=1e-15)
+        p = transform_point(Pose(np.zeros(3), UnitQuaternion.identity()), (1.0, 2.0, 3.0))
+        assert p.tolist() == [1.0, 2.0, 3.0]
 
     def test_elementary_z(self):
-        v = rotate(quat_z(math.pi / 2), (1.0, 0.0, 0.0))
-        assert np.allclose(v, [0, 1, 0], atol=1e-12)
+        p = transform_point(Pose(np.zeros(3), quat_z(math.pi / 2)), (1.0, 0.0, 0.0))
+        assert np.allclose(p, [0, 1, 0], atol=1e-12)
 
     def test_matches_matrix_oracle_and_preserves_norm(self):
+        # The renderer poses vertex rows as `vertices @ R.T`.
         rng = np.random.default_rng(4)
         for _ in range(100):
             q = random_quaternion(rng)
             v = rng.normal(size=3)
-            got = rotate(q, v)
-            assert np.abs(got - quat_to_matrix(q) @ v).max() < 1e-9
-            assert math.isclose(np.linalg.norm(got), np.linalg.norm(v), rel_tol=1e-9)
+            got = transform_point(Pose(np.zeros(3), q), v)
+            assert np.abs(got - (v[None] @ quat_to_matrix(q).T)[0]).max() < 1e-15
+            assert math.isclose(np.linalg.norm(got), np.linalg.norm(v), rel_tol=1e-12)
 
-    def test_matches_cross_product_oracle_bitwise(self):
+    def test_matches_cross_product_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(2000):
             q = random_quaternion(rng)
             v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
-            assert rotate(q, v).tobytes() == reference_rotate(q, v).tobytes()
+            t = rng.normal(size=3)
+            got = transform_point(Pose(t, q), v)
+            bound = 1e-14 * (np.linalg.norm(v) + np.linalg.norm(t))
+            assert np.abs(got - (reference_rotate(q, v) + t)).max() <= bound
+
+    def test_tabletop_camera_exact(self):
+        # The tabletop camera is a half turn about x: both rotation forms
+        # negate y and z exactly, so world positions keep every bit.
+        camera = tabletop_scene("t", 0.8).camera_pose
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            x, y, z = v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+            got = transform_point(camera, v)
+            assert got.tobytes() == (reference_rotate(camera.orientation, v) + camera.position).tobytes()
+            assert got.tobytes() == (np.array([x, -y, -z]) + camera.position).tobytes()
+
+    def test_rejects_non_finite_point(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            transform_point(Pose(np.zeros(3), UnitQuaternion.identity()), (0.0, np.nan, 1.0))
 
 
 class TestAsVec3:
@@ -158,7 +180,7 @@ class TestPose:
         for _ in range(20):
             pose = Pose(rng.normal(size=3), random_quaternion(rng))
             p = rng.normal(size=3)
-            back = rotate(conjugate(pose.orientation), transform_point(pose, p) - pose.position)
+            back = quat_to_matrix(conjugate(pose.orientation)) @ (transform_point(pose, p) - pose.position)
             assert np.allclose(back, p, atol=1e-12)
 
     def test_rejects_non_finite_position(self):
@@ -304,8 +326,9 @@ class TestApplySigmaToPose:
             sigma = rng.uniform(-0.6, 0.6) * np.linalg.norm(pose.position)
             moved, mu = apply_sigma_to_pose(pose, sigma)
             v = rng.uniform(-0.05, 0.05, 3)
-            lhs = moved.position + mu * rotate(pose.orientation, v)
-            rhs = mu * (pose.position + rotate(pose.orientation, v))
+            rotated = quat_to_matrix(pose.orientation) @ v
+            lhs = moved.position + mu * rotated
+            rhs = mu * (pose.position + rotated)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -356,7 +379,7 @@ class TestProjectionInvariance:
             world = transform_point(pose, v)
             if world[2] * mu <= 0.0:
                 continue
-            scaled = moved.position + mu * rotate(pose.orientation, v)
+            scaled = moved.position + mu * (quat_to_matrix(pose.orientation) @ v)
             u0, v0, d0 = project(intr, world)
             u1, v1, d1 = project(intr, scaled)
             assert abs(u1 - u0) < 1e-6 and abs(v1 - v0) < 1e-6

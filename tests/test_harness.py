@@ -53,6 +53,21 @@ class TestBuiltinModels:
         with pytest.raises(ValueError):
             builtin_model("banana")
 
+    @pytest.mark.parametrize("mesh_id", ["apple", "sphere", "cube"])
+    def test_cached_arrays_are_read_only(self, mesh_id):
+        # An in-place write used to change the cached mesh for every later
+        # caller before the frozen dataclass refused the assignment.
+        mesh, _ = builtin_model(mesh_id)
+        before = mesh.vertices.copy()
+        try:
+            with pytest.raises(ValueError, match="read-only"):
+                mesh.vertices *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                mesh.triangles[0, 0] = 1
+            assert builtin_model(mesh_id)[0].vertices.tobytes() == before.tobytes()
+        finally:
+            builtin_model.cache_clear()  # a failure here must not reach later tests
+
     def test_ellipsoid_validation(self):
         with pytest.raises(ValueError):
             ellipsoid_mesh((0.05, -0.01, 0.05))
@@ -212,7 +227,10 @@ class TestGenerateScene:
     def test_errors_match_full_frame_oracle(self):
         unseen = tabletop_scene("unseen", 0.8, object_depth=1e6)
         hidden = tabletop_scene("hidden", 0.8, occluder_fraction=0.2, occluder_offset=-0.2)
-        for spec, match in ((unseen, "covers no pixel"), (hidden, "nearer than the object on no pixel")):
+        # Noisy depths beyond float32 used to end in an overflow warning.
+        noisy = tabletop_scene("noisy", 0.8, depth_noise=1e39)
+        for spec, match in ((unseen, "covers no pixel"), (hidden, "nearer than the object on no pixel"),
+                            (noisy, "depth values must be finite")):
             with pytest.raises(ValueError, match=match) as want:
                 reference_generate_scene(spec)
             with pytest.raises(ValueError) as got:

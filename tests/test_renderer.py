@@ -97,6 +97,11 @@ class TestDepthMap:
             with pytest.raises(ValueError, match=message):
                 DepthMap(w, h, data)
 
+    def test_value_beyond_float32_rejected(self):
+        # The float32 cast used to end in an overflow warning, not this error.
+        with pytest.raises(ValueError, match="depth values must be finite"):
+            DepthMap(2, 1, np.array([[1e300, 1.0]]))
+
     def test_valid_mask(self):
         d = DepthMap(2, 2, np.array([[0.5, 0.0], [0.0, 1.0]], dtype=np.float32))
         assert d.valid_mask.tolist() == [[True, False], [False, True]]
@@ -524,6 +529,15 @@ class TestRasterize:
             renderer._rasterize(square_mesh(1e38), pose, INTR)
         with pytest.raises(ValueError, match="depth values must be finite"):
             render_depth(square_mesh(1e38), pose, INTR)
+
+    @pytest.mark.parametrize("coord, scale", [(1e300, 1e10), (1e307, 1.0)], ids=["posed", "projected"])
+    def test_vertex_beyond_float64_raises(self, coord, scale):
+        # Finite vertices whose posed (scaled) or projected coordinates
+        # overflow float64 used to end in an overflow warning.
+        mesh = TriangleMesh(np.array([[0, 0, coord], [coord, 0, -coord], [0, coord, 0]]),
+                            np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match="mesh vertices must be finite once posed"):
+            render_depth(mesh, frontal_pose(0.5), INTR, scale=scale)
 
 
 class TestTransientMemory:
