@@ -37,16 +37,26 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-def _integral_count(name: str, value) -> int:
-    """`value` as an int; a fractional count is a malformed input, not one to
-    truncate. Raises ValueError naming `name`, also for an int too large for
-    a float."""
+def _positive(name: str, value) -> float:
+    """`value` as a float, when it is finite and above 0. Anything else, an
+    int too large for a float included, raises ValueError naming `name`."""
+    try:
+        if math.isfinite(value) and value > 0:
+            return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be positive and finite, got an int beyond float range") from None
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _count(name: str, value) -> int:
+    """`value` as an int of at least 1; a fractional count is refused, not
+    truncated. Raises ValueError naming `name`, as `_positive` does."""
     try:
         integral = math.isfinite(value) and value == int(value)
     except OverflowError:
         raise ValueError(f"{name} must be an integral count within float range") from None
-    if not integral:
-        raise ValueError(f"{name} must be an integral count, got {value!r}")
+    if not (integral and value >= 1):
+        raise ValueError(f"{name} must be an integral count of at least 1, got {value!r}")
     return int(value)
 
 
@@ -162,16 +172,12 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, _integral_count(name, getattr(self, name)))
-        vals = [self.fx, self.fy, self.cx, self.cy]
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("intrinsics must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        _positive("fx", self.fx)
+        _positive("fy", self.fy)
         if self.width * self.height > MAX_IMAGE_PIXELS:
             raise ValueError(f"image {self.width}x{self.height} exceeds {MAX_IMAGE_PIXELS} pixels")
+        # NaN and inf fail these range checks too.
         if not (0 < self.cx < self.width):
             raise ValueError(f"cx={self.cx} outside (0, {self.width})")
         if not (0 < self.cy < self.height):
@@ -187,16 +193,14 @@ class CuboidDims:
     dz: float
 
     def __post_init__(self):
-        vals = (self.dx, self.dy, self.dz)
-        if not all(math.isfinite(v) and v > 0 for v in vals):
-            raise ValueError(f"cuboid dimensions must be positive and finite, got {vals}")
+        for name in ("dx", "dy", "dz"):
+            _positive(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz], dtype=np.float64)
 
     def scaled(self, factor: float) -> CuboidDims:
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError(f"scale factor must be positive and finite, got {factor}")
+        _positive("scale factor", factor)
         return CuboidDims(factor * self.dx, factor * self.dy, factor * self.dz)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoFeasibleCandidateError
-from .geometry import UnitQuaternion, _integral_count, as_vec3, quat_mul, quat_y, quat_z
+from .geometry import UnitQuaternion, _count, _positive, as_vec3, quat_mul, quat_y, quat_z
 
 # The most grid cells a config may ask for; the grid is built cell by cell in
 # Python (about 13 us each), so this bounds its first use to a second or two.
@@ -45,16 +45,12 @@ class GraspSamplingConfig:
     table_height: float = -math.inf
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        _positive("radius", self.radius)
         # -inf (the default) disables the filter; NaN would disable it silently.
         if math.isnan(self.table_height):
             raise ValueError("table_height must not be NaN")
         for name in ("alpha_samples", "theta_samples"):
-            value = _integral_count(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.alpha_samples * self.theta_samples > MAX_GRID_CELLS:
             raise ValueError(f"alpha_samples * theta_samples must be at most {MAX_GRID_CELLS}")
         if not 0.0 < self.theta_max <= math.pi:

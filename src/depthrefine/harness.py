@@ -23,6 +23,7 @@ from .geometry import (
     CuboidDims,
     Pose,
     UnitQuaternion,
+    _positive,
     quat_x,
     transform_point,
 )
@@ -45,9 +46,7 @@ MIN_VALID_DEPTH = 1e-6
 
 def ellipsoid_mesh(radii, rings: int = 16, segments: int = 24) -> TriangleMesh:
     """Latitude-longitude triangulation of an axis-aligned ellipsoid."""
-    rx, ry, rz = (float(r) for r in radii)
-    if min(rx, ry, rz) <= 0.0:
-        raise ValueError("radii must be positive")
+    rx, ry, rz = (_positive("radius", r) for r in radii)
     if rings < 2 or segments < 3:
         raise ValueError("need rings >= 2 and segments >= 3")
     theta = [math.pi * k / rings for k in range(1, rings)]
@@ -123,8 +122,7 @@ class OccluderSpec:
     def __post_init__(self):
         # An infinite depth never wins the nearer-of test, so the scene
         # would come out unoccluded.
-        if not (math.isfinite(self.depth) and self.depth > 0.0):
-            raise ValueError(f"occluder depth must be finite and positive, got {self.depth}")
+        _positive("occluder depth", self.depth)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("occluder fraction must be in (0, 1)")
 
@@ -144,8 +142,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.true_scale) and self.true_scale > 0.0):
-            raise ValueError(f"true_scale must be finite and positive, got {self.true_scale}")
+        _positive("true_scale", self.true_scale)
         for name in ("depth_noise", "shape_noise"):
             value = getattr(self, name)
             # NaN fails every comparison, so it would skip the noise step.
@@ -174,8 +171,7 @@ def simulate_rgb_estimate(true_pose: Pose, true_scale: float) -> Pose:
     """Pose an ideal scale-blind estimator reports for an object of
     `true_scale` times the model size: same image, position pushed to
     p/true_scale, orientation untouched."""
-    if not (math.isfinite(true_scale) and true_scale > 0.0):
-        raise ValueError(f"true_scale must be finite and positive, got {true_scale}")
+    _positive("true_scale", true_scale)
     return Pose(true_pose.position / true_scale, true_pose.orientation)
 
 
@@ -259,10 +255,8 @@ def tabletop_scene(
     up; the model's height axis (y) is posed to point up, so the true
     centroid height is true_scale * dy / 2.
     """
-    if not (math.isfinite(true_scale) and true_scale > 0.0):
-        raise ValueError(f"true_scale must be finite and positive, got {true_scale}")
-    if not (math.isfinite(object_depth) and object_depth > 0.0):
-        raise ValueError(f"object_depth must be finite and positive, got {object_depth}")
+    _positive("true_scale", true_scale)
+    _positive("object_depth", object_depth)
     if not 0.0 <= occluder_fraction < 1.0:
         raise ValueError(f"occluder_fraction must be in [0, 1), got {occluder_fraction}")
     _, dims = builtin_model(mesh_id)

@@ -26,6 +26,7 @@ from .geometry import (
     CameraIntrinsics,
     CuboidDims,
     Pose,
+    _positive,
     apply_sigma_to_pose,
 )
 # objective calls render_depth; the benchmark tracer also wraps it here.
@@ -48,8 +49,7 @@ class RefineConfig:
     def __post_init__(self):
         if not 0.0 < self.bound_fraction < 1.0:
             raise ValueError("bound_fraction must be in (0, 1)")
-        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0.0):
-            raise ValueError("inlier_threshold must be positive and finite")
+        _positive("inlier_threshold", self.inlier_threshold)
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
 
@@ -171,9 +171,7 @@ def refine(
     """
     if cfg is None:
         cfg = RefineConfig()
-    pz = float(coarse.position[2])
-    if pz <= 0.0:
-        raise ValueError(f"coarse position z must be positive, got {pz}")
+    _positive("coarse position z", float(coarse.position[2]))
     if (real.height, real.width) != (intr.height, intr.width):
         raise ValueError("real depth map dimensions do not match intrinsics")
 

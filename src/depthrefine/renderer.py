@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, quat_to_matrix
+from .geometry import CameraIntrinsics, Pose, _count, _positive, quat_to_matrix
 
 # Triangles with any vertex closer than this are dropped whole rather than
 # clipped; refinement operates far from the near plane.
@@ -57,7 +57,7 @@ class TriangleMesh:
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64)
-        tris = np.asarray(self.triangles, dtype=np.int64)
+        tris = np.asarray(self.triangles)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValueError(f"vertices must be (N, 3), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
@@ -66,12 +66,13 @@ class TriangleMesh:
             raise ValueError(f"triangles must be (M, 3), got {tris.shape}")
         if tris.shape[0] == 0:
             raise ValueError("mesh has no triangles")
-        if tris.min() < 0 or tris.max() >= verts.shape[0]:
-            raise ValueError(
-                f"triangle index out of range for {verts.shape[0]} vertices"
-            )
+        # Checked before the int64 cast, which would truncate or wrap; NaN fails.
+        if not (tris.min() >= 0 and tris.max() < verts.shape[0]):
+            raise ValueError(f"triangle index out of range for {verts.shape[0]} vertices")
+        if tris.dtype.kind not in "iu" and not np.all(tris == np.floor(tris.astype(np.float64))):
+            raise ValueError("triangle indices must be whole numbers")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "triangles", tris.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,8 @@ class DepthMap:
     data: np.ndarray
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         # A value beyond float32 casts to inf, which the check below refuses.
         with np.errstate(over="ignore"):
             data = np.asarray(self.data, dtype=np.float32)
@@ -133,11 +136,10 @@ def _rasterize(
     """Ascending int64 flat indices of the pixels `render_depth` covers, and
     their float32 depths, without a full frame.
 
-    Raises ValueError when a posed or projected vertex is not finite, or a
-    covered depth not finite in float32, as `DepthMap` would.
+    Raises ValueError when a posed vertex is not finite or projects beyond
+    1e150 pixels, and as `DepthMap` would on a depth beyond float32.
     """
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    _positive("scale", scale)
     w, h = intr.width, intr.height
 
     rot = quat_to_matrix(pose.orientation)
@@ -152,13 +154,18 @@ def _rasterize(
     def over_z(a):
         return np.divide(a, vz, out=np.zeros_like(vz), where=front)
 
-    # Project each vertex once. A vertex posed or projected beyond float64
-    # is refused rather than rendered.
+    # Project each vertex once. A vertex posed beyond float64 is refused, and
+    # so is one projected beyond 1e150 pixels, NaN and inf included. Then twice
+    # a triangle's area and each edge function, differences of products of two
+    # coordinate differences, stay below about 1e301, and their 1/z-weighted
+    # sums below about 1e305. The test takes extremes, as np.abs(u), 200 KB on
+    # the dense mesh, moved glibc's mmap threshold and slowed its refine by 8%.
     with np.errstate(over="ignore", invalid="ignore"):
         u = over_z(intr.fx * vx) + intr.cx
         v = over_z(intr.fy * vy) + intr.cy
-    if not (np.isfinite(posed).all() and np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("mesh vertices must be finite once posed and projected")
+    ends = (u.min(), u.max(), v.min(), v.max())
+    if not (np.isfinite(posed).all() and all(abs(e) <= 1e150 for e in ends)):
+        raise ValueError("mesh vertices must be finite once posed, and project within 1e150 pixels")
 
     # Cull before any corner array exists, on pixel-center boxes clipped to
     # the viewport. One filter drops near-plane triangles, boxes holding no

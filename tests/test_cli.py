@@ -453,6 +453,26 @@ class TestInvalidInputs:
         assert "mesh vertices must be finite once posed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["render", "refine"])
+    def test_far_triangle_exits_2(self, workspace, capsys, command):
+        # Its corners project near 1e163 pixels. The triangle used to reach
+        # the edge functions, which overflowed: exit 1 on the warning, or
+        # without a warning filter a render of 0 valid pixels.
+        tmp_path, _, scene = workspace
+        far = tmp_path / "far.obj"
+        far.write_text("v 0 0 0\nv 1e160 0 0\nv 0 1e160 0\nf 1 2 3\n")
+        depth_path = tmp_path / "measured.pfm"
+        store_depth(depth_path, render_fixture_depth())
+        out = tmp_path / "out"
+        argv = {
+            "render": ["render", "--mesh", str(far), "--scene", scene, "--out", str(out)],
+            "refine": ["refine", "--mesh", str(far), "--scene", scene,
+                       "--depth", str(depth_path), "--out", str(out)],
+        }[command]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert "project within 1e150 pixels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, workspace, tmp_path):
         _, obj, scene = workspace
         argv = ["refine", "--mesh", obj, "--scene", scene,

@@ -11,15 +11,28 @@ from hypothesis import strategies as st
 from depthrefine import (
     CameraIntrinsics,
     CuboidDims,
+    DepthMap,
+    GraspSamplingConfig,
+    OccluderSpec,
     Pose,
+    RefineConfig,
+    SceneSpec,
     UnitQuaternion,
     apply_sigma_to_pose,
     quat_mul,
     transform_point,
 )
 from depthrefine.geometry import as_vec3, quat_to_matrix, quat_y, quat_z
-from depthrefine.harness import tabletop_scene
-from helpers import conjugate, project, random_quaternion, reference_normalize, reference_rotate
+from depthrefine.harness import ellipsoid_mesh, simulate_rgb_estimate, tabletop_scene
+from depthrefine.renderer import _rasterize
+from helpers import (
+    conjugate,
+    project,
+    random_quaternion,
+    reference_normalize,
+    reference_rotate,
+    square_mesh,
+)
 
 
 class TestUnitQuaternion:
@@ -224,6 +237,72 @@ class TestCuboidDims:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             CuboidDims(0.1, 0.0, 0.1)
+
+
+def intrinsics(**fields):
+    return CameraIntrinsics(**{"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0,
+                               "width": 640, "height": 480, **fields})
+
+
+FRONTAL = Pose(np.array([0.0, 0.0, 0.5]), UnitQuaternion.identity())
+
+# (field, build): one site of the positive-real rule each, built from the
+# value under test.
+POSITIVE_SITES = {
+    "CameraIntrinsics.fx": ("fx", lambda x: intrinsics(fx=x)),
+    "CameraIntrinsics.fy": ("fy", lambda x: intrinsics(fy=x)),
+    "CuboidDims.dx": ("dx", lambda x: CuboidDims(x, 0.08, 0.092)),
+    "CuboidDims.dy": ("dy", lambda x: CuboidDims(0.092, x, 0.092)),
+    "CuboidDims.dz": ("dz", lambda x: CuboidDims(0.092, 0.08, x)),
+    "CuboidDims.scaled": ("scale factor", lambda x: CuboidDims(0.092, 0.08, 0.092).scaled(x)),
+    "_rasterize": ("scale", lambda x: _rasterize(square_mesh(), FRONTAL, intrinsics(), x)),
+    "RefineConfig": ("inlier_threshold", lambda x: RefineConfig(inlier_threshold=x)),
+    "GraspSamplingConfig": ("radius", lambda x: GraspSamplingConfig(radius=x)),
+    "ellipsoid_mesh": ("radius", lambda x: ellipsoid_mesh((0.05, x, 0.05))),
+    "OccluderSpec": ("occluder depth", lambda x: OccluderSpec(x, 0.2)),
+    "SceneSpec": ("true_scale", lambda x: SceneSpec("t", x, FRONTAL, FRONTAL)),
+    "simulate_rgb_estimate": ("true_scale", lambda x: simulate_rgb_estimate(FRONTAL, x)),
+    "tabletop_scene.true_scale": ("true_scale", lambda x: tabletop_scene("t", x)),
+    "tabletop_scene.object_depth": ("object_depth", lambda x: tabletop_scene("t", 0.8, object_depth=x)),
+}
+
+# The same for the count rule.
+COUNT_SITES = {
+    "CameraIntrinsics.width": ("width", lambda n: intrinsics(width=n)),
+    "CameraIntrinsics.height": ("height", lambda n: intrinsics(height=n)),
+    "GraspSamplingConfig.alpha_samples": ("alpha_samples", lambda n: GraspSamplingConfig(0.15, alpha_samples=n)),
+    "GraspSamplingConfig.theta_samples": ("theta_samples", lambda n: GraspSamplingConfig(0.15, theta_samples=n)),
+    "DepthMap.width": ("width", lambda n: DepthMap(n, 1, np.zeros((1, 0)))),
+    "DepthMap.height": ("height", lambda n: DepthMap(1, n, np.zeros((0, 1)))),
+}
+
+NOT_POSITIVE = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
+
+
+class TestNumberRules:
+    """Every positive length, scale and count is checked by one rule, whose
+    error names the field: no other exception, and no numpy warning."""
+
+    @staticmethod
+    def assert_refused(field, build, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                build(value)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE.values(), ids=NOT_POSITIVE.keys())
+    @pytest.mark.parametrize("site", POSITIVE_SITES)
+    def test_positive_real_refused(self, site, value):
+        # An inf radius used to end in a RuntimeWarning, 10**400 in an
+        # OverflowError, and fx=inf in an error naming no field.
+        self.assert_refused(*POSITIVE_SITES[site], value)
+
+    @pytest.mark.parametrize("value", [*NOT_POSITIVE.values(), 0.5], ids=[*NOT_POSITIVE.keys(), "0.5"])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_count_refused(self, site, value):
+        # A 0-width DepthMap used to be accepted, and a 0-width
+        # CameraIntrinsics to give an error naming no field.
+        self.assert_refused(*COUNT_SITES[site], value)
 
 
 class TestSigmaTransform:

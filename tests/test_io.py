@@ -418,6 +418,15 @@ class TestPfm:
             loaded.data.view(np.uint32), original.data.view(np.uint32)
         )
 
+    def test_whole_float_size_round_trips(self, tmp_path):
+        # A size of 5.0 used to be kept as a float, and `store_depth` wrote a
+        # "Pf 5.0 7" header that `load_depth` refuses.
+        path = tmp_path / "d.pfm"
+        original = self.random_map()
+        store_depth(path, DepthMap(5.0, 7.0, original.data))
+        assert path.read_bytes().startswith(b"Pf\n5 7\n")
+        assert load_depth(path).data.tobytes() == original.data.tobytes()
+
     def test_layout_bottom_up_little_endian(self, tmp_path):
         path = tmp_path / "d.pfm"
         data = np.array([[1.5, 0.0], [2.5, 3.5]], dtype=np.float32)

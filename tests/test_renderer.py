@@ -54,6 +54,17 @@ class TestTriangleMesh:
         with pytest.raises(ValueError):
             TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))
 
+    @pytest.mark.parametrize("index", [1.7, math.nan, math.inf, -1.0, 2**63, 2**70, 10**400],
+                             ids=["1.7", "nan", "inf", "-1.0", "2**63", "2**70", "10**400"])
+    def test_rejects_index_not_a_vertex(self, index):
+        # 1.7 used to be truncated to vertex 1, and 2**70 to raise OverflowError.
+        with pytest.raises(ValueError, match="triangle ind"):
+            TriangleMesh(np.zeros((3, 3)), [[0, index, 2]])
+
+    def test_whole_float_indices_accepted(self):
+        mesh = TriangleMesh(np.zeros((3, 3)), np.array([[0.0, 1.0, 2.0]]))
+        assert mesh.triangles.dtype == np.int64 and mesh.triangles.tolist() == [[0, 1, 2]]
+
     def test_rejects_nan_vertices(self):
         verts = np.array([[0.0, 0.0, np.nan], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError):
@@ -82,20 +93,18 @@ class TestDepthMap:
             ([[0.5, -np.inf]], "must be finite"),
             ([[-0.1, 0.5]], r"0\.0 \(invalid\) or positive"),
             ([[-0.1, np.nan]], "must be finite"),
-            (np.zeros((0, 0)), None),
+            (np.zeros((0, 0)), "width must be an integral count of at least 1"),
         ],
         ids=["nan", "+inf", "-inf", "negative", "negative-and-nan", "empty"],
     )
     def test_value_checks(self, rows, message):
-        # A non-finite value is reported before a negative one; a 0x0 map
-        # is accepted.
+        # A non-finite value is reported before a negative one. A 0x0 map
+        # used to be accepted, and `store_depth` then wrote a file that
+        # `load_depth` refuses.
         data = np.array(rows, dtype=np.float32)
         h, w = data.shape
-        if message is None:
-            assert DepthMap(w, h, data).data.shape == (0, 0)
-        else:
-            with pytest.raises(ValueError, match=message):
-                DepthMap(w, h, data)
+        with pytest.raises(ValueError, match=message):
+            DepthMap(w, h, data)
 
     def test_value_beyond_float32_rejected(self):
         # The float32 cast used to end in an overflow warning, not this error.
@@ -538,6 +547,23 @@ class TestRasterize:
                             np.array([[0, 1, 2]]))
         with pytest.raises(ValueError, match="mesh vertices must be finite once posed"):
             render_depth(mesh, frontal_pose(0.5), INTR, scale=scale)
+
+    @pytest.mark.parametrize("render", [render_depth, renderer._rasterize], ids=["render_depth", "_rasterize"])
+    def test_far_triangle_raises(self, render):
+        # Finite corners projecting near 1e163 pixels used to overflow twice
+        # the area and the edge functions into a warning or a wrong render.
+        mesh = TriangleMesh(np.array([[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0]]), np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match="project within 1e150 pixels"):
+            render(mesh, frontal_pose(0.5), INTR)
+
+    def test_bound_keeps_a_triangle_just_inside(self):
+        # Corners near 1e150 pixels still render; the triangle covers the
+        # frame's left half at its own depth.
+        x = 0.99e150 * 0.5 / INTR.fx
+        mesh = TriangleMesh(np.array([[0.0, -x, 0.0], [0.0, x, 0.0], [-x, 0.0, 0.0]]), np.array([[0, 1, 2]]))
+        d = render_depth(mesh, frontal_pose(0.5), INTR)
+        assert d.valid_mask[:, :320].all() and not d.valid_mask[:, 320:].any()
+        assert (d.data[d.valid_mask] == np.float32(0.5)).all()
 
 
 class TestTransientMemory:
