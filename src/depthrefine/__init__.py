@@ -48,7 +48,6 @@ from .harness import (
     DEFAULT_INTRINSICS,
     DEFAULT_SCALE_LEVELS,
     EvalRecord,
-    OccluderSpec,
     SceneSpec,
     builtin_model,
     centroid_error,
@@ -87,7 +86,6 @@ __all__ = [
     "GraspSamplingConfig",
     "NoFeasibleCandidateError",
     "NoOverlapError",
-    "OccluderSpec",
     "Pose",
     "RefineConfig",
     "RefinementResult",

@@ -37,26 +37,28 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-def _positive(name: str, value) -> float:
-    """`value` as a float, when it is finite and above 0. Anything else, an
-    int too large for a float included, raises ValueError naming `name`."""
+def _real(name: str, value, rule: str, ok) -> float:
+    """`value` as a float, when `ok(value)` holds; `rule` says in words what
+    `ok` asks. Anything else, an int too large for a float included, raises
+    ValueError naming `name`."""
     try:
-        if math.isfinite(value) and value > 0:
+        if ok(value):
             return float(value)
     except OverflowError:
-        raise ValueError(f"{name} must be positive and finite, got an int beyond float range") from None
-    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise ValueError(f"{name} must be {rule}, got an int beyond float range") from None
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _count(name: str, value) -> int:
-    """`value` as an int of at least 1; a fractional count is refused, not
-    truncated. Raises ValueError naming `name`, as `_positive` does."""
-    try:
-        integral = math.isfinite(value) and value == int(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be an integral count within float range") from None
-    if not (integral and value >= 1):
-        raise ValueError(f"{name} must be an integral count of at least 1, got {value!r}")
+def _positive(name: str, value) -> float:
+    """`value` as a float, when it is finite and above 0."""
+    return _real(name, value, "positive and finite", lambda v: math.isfinite(v) and v > 0)
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """`value` as an int of at least `least`; a fractional count is refused,
+    not truncated."""
+    _real(name, value, f"an integral count of at least {least}",
+          lambda v: math.isfinite(v) and v == int(v) and v >= least)
     return int(value)
 
 
@@ -212,8 +214,7 @@ def apply_sigma_to_pose(pose: Pose, sigma: float) -> tuple[Pose, float]:
     by sigma and shrinking the object by mu leaves the projected
     silhouette unchanged. Orientation is untouched.
     """
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    _real("sigma", sigma, "finite", math.isfinite)
     p = pose.position
     norm = float(np.linalg.norm(p))
     if norm == 0.0:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoFeasibleCandidateError
-from .geometry import UnitQuaternion, _count, _positive, as_vec3, quat_mul, quat_y, quat_z
+from .geometry import UnitQuaternion, _count, _positive, _real, as_vec3, quat_mul, quat_y, quat_z
 
 # The most grid cells a config may ask for; the grid is built cell by cell in
 # Python (about 13 us each), so this bounds its first use to a second or two.
@@ -47,8 +47,8 @@ class GraspSamplingConfig:
     def __post_init__(self):
         _positive("radius", self.radius)
         # -inf (the default) disables the filter; NaN would disable it silently.
-        if math.isnan(self.table_height):
-            raise ValueError("table_height must not be NaN")
+        _real("table_height", self.table_height, "within float range and not NaN",
+              lambda v: not math.isnan(v))
         for name in ("alpha_samples", "theta_samples"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.alpha_samples * self.theta_samples > MAX_GRID_CELLS:

@@ -12,7 +12,7 @@ error vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,9 @@ from .geometry import (
     CuboidDims,
     Pose,
     UnitQuaternion,
+    _count,
     _positive,
+    _real,
     quat_x,
     transform_point,
 )
@@ -47,8 +49,7 @@ MIN_VALID_DEPTH = 1e-6
 def ellipsoid_mesh(radii, rings: int = 16, segments: int = 24) -> TriangleMesh:
     """Latitude-longitude triangulation of an axis-aligned ellipsoid."""
     rx, ry, rz = (_positive("radius", r) for r in radii)
-    if rings < 2 or segments < 3:
-        raise ValueError("need rings >= 2 and segments >= 3")
+    rings, segments = _count("rings", rings, least=2), _count("segments", segments, least=3)
     theta = [math.pi * k / rings for k in range(1, rings)]
     phi = [2.0 * math.pi * m / segments for m in range(segments)]
     st = [math.sin(t) for t in theta]
@@ -113,41 +114,61 @@ def builtin_model(mesh_id: str) -> tuple[TriangleMesh, CuboidDims]:
 
 
 @dataclass(frozen=True)
-class OccluderSpec:
-    """Fronto-parallel plane patch: absolute depth and support fraction covered."""
-
-    depth: float
-    fraction: float
-
-    def __post_init__(self):
-        # An infinite depth never wins the nearer-of test, so the scene
-        # would come out unoccluded.
-        _positive("occluder depth", self.depth)
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError("occluder fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class SceneSpec:
-    """Ground-truth scene: what the camera sees and what the estimator reports."""
+    """Tabletop scene: the camera looks straight down at an object resting
+    on the table directly below, `object_depth` meters away.
+
+    The world frame has its origin on the table surface with z pointing
+    up; the model's height axis (y) is posed to point up, so the true
+    centroid height is true_scale * dy / 2. An occluder, when
+    `occluder_fraction` is above 0, is a fronto-parallel plane
+    `occluder_offset` meters in front of the object that covers that
+    share of its pixels. `true_pose` and `camera_pose` are derived from
+    the fields, so `dataclasses.replace` derives them again.
+    """
 
     scene_id: str
     true_scale: float
-    true_pose: Pose
-    camera_pose: Pose
+    object_depth: float = 0.5
     mesh_id: str = "apple"
-    occluder: OccluderSpec | None = None
+    occluder_fraction: float = 0.0
+    occluder_offset: float = 0.1
     depth_noise: float = 0.0
     shape_noise: float = 0.0
     seed: int = 0
+    true_pose: Pose = field(init=False, repr=False, compare=False)
+    camera_pose: Pose = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _positive("true_scale", self.true_scale)
+        _positive("object_depth", self.object_depth)
+        if not 0.0 <= self.occluder_fraction < 1.0:
+            raise ValueError(f"occluder_fraction must be in [0, 1), got {self.occluder_fraction}")
+        if self.occluder_fraction > 0.0:
+            offset = _real("occluder_offset", self.occluder_offset, "within float range",
+                           lambda v: True)
+            # An infinite depth never wins the nearer-of test, so the scene
+            # would come out unoccluded.
+            _positive("occluder depth", self.object_depth - offset)
         for name in ("depth_noise", "shape_noise"):
-            value = getattr(self, name)
             # NaN fails every comparison, so it would skip the noise step.
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _real(name, getattr(self, name), "finite and non-negative",
+                  lambda v: math.isfinite(v) and v >= 0.0)
+        object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
+        _, dims = builtin_model(self.mesh_id)
+        rest_height = 0.5 * self.true_scale * dims.dy
+        camera_pose = Pose(
+            np.array([0.0, 0.0, self.object_depth + rest_height]),
+            UnitQuaternion(0.0, 1.0, 0.0, 0.0),  # optical axis along world -z
+        )
+        true_pose = Pose(np.array([0.0, 0.0, self.object_depth]), quat_x(-math.pi / 2.0))
+        object.__setattr__(self, "camera_pose", camera_pose)
+        object.__setattr__(self, "true_pose", true_pose)
+
+
+# One more name for the class, not a wrapper: scenes are built as
+# `tabletop_scene(scene_id, true_scale, ...)` throughout.
+tabletop_scene = SceneSpec
 
 
 @dataclass(frozen=True)
@@ -215,18 +236,19 @@ def generate_scene(
         raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
     depths = depths.astype(np.float64)
 
-    if spec.occluder is not None:
-        region = leftmost_region(support, intr.width, spec.occluder.fraction)
+    if spec.occluder_fraction > 0.0:
+        occluder_depth = spec.object_depth - spec.occluder_offset
+        region = leftmost_region(support, intr.width, spec.occluder_fraction)
         # The region lies inside the support, where every depth is above 0,
         # so the nearer of object and occluder is the minimum.
         at = np.searchsorted(support, region)
         covered = depths[at]
-        if not np.any(covered > spec.occluder.depth):
+        if not np.any(covered > occluder_depth):
             raise ValueError(
-                f"scene {spec.scene_id!r}: the occluder at depth {spec.occluder.depth} "
+                f"scene {spec.scene_id!r}: the occluder at depth {occluder_depth} "
                 "is nearer than the object on no pixel of its region"
             )
-        depths[at] = np.minimum(covered, spec.occluder.depth)
+        depths[at] = np.minimum(covered, occluder_depth)
 
     # An occluder's depth is positive, so the valid pixels are still exactly
     # the support: one noise draw per valid pixel, in row-major order.
@@ -235,51 +257,6 @@ def generate_scene(
         depths = np.maximum(depths + noise, MIN_VALID_DEPTH)
 
     return _frame(intr, support, depths), simulate_rgb_estimate(spec.true_pose, spec.true_scale)
-
-
-def tabletop_scene(
-    scene_id: str,
-    true_scale: float,
-    object_depth: float = 0.5,
-    mesh_id: str = "apple",
-    occluder_fraction: float = 0.0,
-    occluder_offset: float = 0.1,
-    depth_noise: float = 0.0,
-    shape_noise: float = 0.0,
-    seed: int = 0,
-) -> SceneSpec:
-    """Scene with the camera looking straight down at an object resting on
-    the table directly below, `object_depth` meters away.
-
-    The world frame has its origin on the table surface with z pointing
-    up; the model's height axis (y) is posed to point up, so the true
-    centroid height is true_scale * dy / 2.
-    """
-    _positive("true_scale", true_scale)
-    _positive("object_depth", object_depth)
-    if not 0.0 <= occluder_fraction < 1.0:
-        raise ValueError(f"occluder_fraction must be in [0, 1), got {occluder_fraction}")
-    _, dims = builtin_model(mesh_id)
-    rest_height = 0.5 * true_scale * dims.dy
-    camera_pose = Pose(
-        np.array([0.0, 0.0, object_depth + rest_height]),
-        UnitQuaternion(0.0, 1.0, 0.0, 0.0),  # optical axis along world -z
-    )
-    true_pose = Pose(np.array([0.0, 0.0, object_depth]), quat_x(-math.pi / 2.0))
-    occluder = None
-    if occluder_fraction > 0.0:
-        occluder = OccluderSpec(object_depth - occluder_offset, occluder_fraction)
-    return SceneSpec(
-        scene_id=scene_id,
-        true_scale=true_scale,
-        true_pose=true_pose,
-        camera_pose=camera_pose,
-        mesh_id=mesh_id,
-        occluder=occluder,
-        depth_noise=depth_noise,
-        shape_noise=shape_noise,
-        seed=seed,
-    )
 
 
 def centroid_error(estimated_z: float, object_height: float) -> float:
@@ -296,12 +273,12 @@ def dimensional_error(d_est: CuboidDims, d_true: CuboidDims) -> float:
 def default_sweep(scales=DEFAULT_SCALE_LEVELS, seed: int = 0, **scene) -> list[SceneSpec]:
     """One tabletop scene per scale level, seeded seed, seed + 1, ...
 
-    `scene` holds further `tabletop_scene` keywords (object_depth,
+    `scene` holds further `SceneSpec` fields (object_depth,
     mesh_id, occluder_fraction, occluder_offset, depth_noise,
     shape_noise), shared by every scene of the sweep.
     """
     return [
-        tabletop_scene(f"scale-{level:.3f}", level, seed=seed + k, **scene)
+        SceneSpec(f"scale-{level:.3f}", level, seed=seed + k, **scene)
         for k, level in enumerate(scales)
     ]
 

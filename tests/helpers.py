@@ -236,16 +236,17 @@ def reference_generate_scene(spec, intr=DEFAULT_INTRINSICS):
         raise ValueError(f"scene {spec.scene_id!r}: the object covers no pixel")
     data = rendered.data.astype(np.float64)
 
-    if spec.occluder is not None:
-        region = leftmost_region(pixel_support(rendered), intr.width, spec.occluder.fraction)
+    if spec.occluder_fraction > 0.0:
+        occluder_depth = spec.object_depth - spec.occluder_offset
+        region = leftmost_region(pixel_support(rendered), intr.width, spec.occluder_fraction)
         flat = data.reshape(-1)
         covered = flat[region]
-        if not np.any(covered > spec.occluder.depth):
+        if not np.any(covered > occluder_depth):
             raise ValueError(
-                f"scene {spec.scene_id!r}: the occluder at depth {spec.occluder.depth} "
+                f"scene {spec.scene_id!r}: the occluder at depth {occluder_depth} "
                 "is nearer than the object on no pixel of its region"
             )
-        flat[region] = np.minimum(covered, spec.occluder.depth)
+        flat[region] = np.minimum(covered, occluder_depth)
 
     if spec.depth_noise > 0.0:
         valid = data > 0.0

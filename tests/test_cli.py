@@ -650,6 +650,15 @@ class TestSimulateAndEval:
         assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        # Used to exit 2 on numpy's "expected non-negative integer", which
+        # named no flag.
+        argv, outputs = scene_command(command, tmp_path)
+        assert main(argv + ["--seed", "-1"]) == EXIT_INVALID_INPUT
+        assert "seed must be" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
     def test_infinite_occluder_depth_exits_2(self, tmp_path, capsys, command):
         # offset -inf puts the occluder at depth +inf, which used to leave the
         # scene unoccluded with exit 0.

@@ -1,5 +1,6 @@
 """Quaternion algebra, poses, projection, and the slide-and-scale transform."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from depthrefine import (
     CuboidDims,
     DepthMap,
     GraspSamplingConfig,
-    OccluderSpec,
     Pose,
     RefineConfig,
     SceneSpec,
@@ -259,8 +259,7 @@ POSITIVE_SITES = {
     "RefineConfig": ("inlier_threshold", lambda x: RefineConfig(inlier_threshold=x)),
     "GraspSamplingConfig": ("radius", lambda x: GraspSamplingConfig(radius=x)),
     "ellipsoid_mesh": ("radius", lambda x: ellipsoid_mesh((0.05, x, 0.05))),
-    "OccluderSpec": ("occluder depth", lambda x: OccluderSpec(x, 0.2)),
-    "SceneSpec": ("true_scale", lambda x: SceneSpec("t", x, FRONTAL, FRONTAL)),
+    "SceneSpec": ("true_scale", lambda x: dataclasses.replace(SceneSpec("t", 0.8), true_scale=x)),
     "simulate_rgb_estimate": ("true_scale", lambda x: simulate_rgb_estimate(FRONTAL, x)),
     "tabletop_scene.true_scale": ("true_scale", lambda x: tabletop_scene("t", x)),
     "tabletop_scene.object_depth": ("object_depth", lambda x: tabletop_scene("t", 0.8, object_depth=x)),
@@ -274,14 +273,36 @@ COUNT_SITES = {
     "GraspSamplingConfig.theta_samples": ("theta_samples", lambda n: GraspSamplingConfig(0.15, theta_samples=n)),
     "DepthMap.width": ("width", lambda n: DepthMap(n, 1, np.zeros((1, 0)))),
     "DepthMap.height": ("height", lambda n: DepthMap(1, n, np.zeros((0, 1)))),
+    "ellipsoid_mesh.rings": ("rings", lambda n: ellipsoid_mesh((0.05, 0.05, 0.05), rings=n)),
+    "ellipsoid_mesh.segments": ("segments", lambda n: ellipsoid_mesh((0.05, 0.05, 0.05), segments=n)),
+}
+
+# The non-negative reals and the seed, a whole number: 0 passes, as the defaults show.
+NON_NEGATIVE_SITES = {
+    "SceneSpec.depth_noise": ("depth_noise", lambda x: SceneSpec("t", 0.8, depth_noise=x)),
+    "SceneSpec.shape_noise": ("shape_noise", lambda x: SceneSpec("t", 0.8, shape_noise=x)),
+    "SceneSpec.seed": ("seed", lambda n: SceneSpec("t", 0.8, seed=n)),
+}
+
+# Reals that may be infinite, or of any sign, but not beyond float range.
+FLOAT_RANGE_SITES = {
+    "SceneSpec.occluder_offset": (
+        "occluder_offset", lambda x: SceneSpec("t", 0.8, occluder_fraction=0.2, occluder_offset=x)),
+    "GraspSamplingConfig.table_height": (
+        "table_height", lambda x: GraspSamplingConfig(0.15, table_height=x)),
+    "apply_sigma_to_pose": ("sigma", lambda x: apply_sigma_to_pose(FRONTAL, x)),
 }
 
 NOT_POSITIVE = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
+NEGATIVE = {k: v for k, v in NOT_POSITIVE.items() if k != "0"}
+NOT_POSITIVE_FLOATS = {k: v for k, v in NOT_POSITIVE.items() if k != "10**400"}
 
 
 class TestNumberRules:
-    """Every positive length, scale and count is checked by one rule, whose
-    error names the field: no other exception, and no numpy warning."""
+    """Every positive length, scale and count, every non-negative noise and
+    seed, and every real that must stay within float range is checked by its
+    rule, whose error names the field: no other exception, and no numpy
+    warning."""
 
     @staticmethod
     def assert_refused(field, build, value):
@@ -301,8 +322,35 @@ class TestNumberRules:
     @pytest.mark.parametrize("site", COUNT_SITES)
     def test_count_refused(self, site, value):
         # A 0-width DepthMap used to be accepted, and a 0-width
-        # CameraIntrinsics to give an error naming no field.
+        # CameraIntrinsics to give an error naming no field; rings=2.5 ended
+        # in a TypeError from range.
         self.assert_refused(*COUNT_SITES[site], value)
+
+    @pytest.mark.parametrize("value", NEGATIVE.values(), ids=NEGATIVE.keys())
+    @pytest.mark.parametrize("site", NON_NEGATIVE_SITES)
+    def test_non_negative_refused(self, site, value):
+        # 10**400 used to end in an OverflowError, and seed=-1 in a numpy
+        # error naming no field.
+        self.assert_refused(*NON_NEGATIVE_SITES[site], value)
+
+    def test_fractional_seed_refused(self):
+        # Used to end in a TypeError from numpy.
+        self.assert_refused(*NON_NEGATIVE_SITES["SceneSpec.seed"], 1.5)
+
+    @pytest.mark.parametrize("site", FLOAT_RANGE_SITES)
+    def test_beyond_float_range_refused(self, site):
+        # Each used to end in an OverflowError.
+        self.assert_refused(*FLOAT_RANGE_SITES[site], 10**400)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_FLOATS.values(), ids=NOT_POSITIVE_FLOATS.keys())
+    def test_occluder_depth_refused(self, value):
+        # The occluder stands `occluder_offset` in front of the object, so
+        # this offset puts it at depth `value`. An infinite depth used to
+        # pass and leave the scene unoccluded.
+        def build(x):
+            return SceneSpec("t", 0.8, object_depth=1.0, occluder_fraction=0.2, occluder_offset=1.0 - x)
+
+        self.assert_refused("occluder depth", build, value)
 
 
 class TestSigmaTransform:

@@ -1,5 +1,6 @@
 """Synthetic scenes, the simulated scale-blind estimator, and the metrics."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,6 @@ from depthrefine import (
     DepthMap,
     DepthRefineError,
     EvalRecord,
-    OccluderSpec,
     Pose,
     SceneSpec,
     UnitQuaternion,
@@ -163,28 +163,17 @@ class TestGenerateScene:
         mesh, _ = builtin_model("apple")
         gt = render_depth(mesh, spec.true_pose, INTR, scale=0.8)
         region = leftmost_region(pixel_support(gt), INTR.width, 0.2)
-        plane = spec.occluder.depth
+        plane = spec.object_depth - spec.occluder_offset
         assert len(region) > 0
         got = real.data.ravel()[region].astype(np.float64)
         assert np.abs(got - plane).max() <= 1e-6
 
     def test_occluder_hiding_nothing_raises(self):
         # Such an occluder used to be dropped silently, giving the
-        # unoccluded scene.
-        base = tabletop_scene("t", 0.8, seed=2)
-        behind = SceneSpec(
-            scene_id="t",
-            true_scale=0.8,
-            true_pose=base.true_pose,
-            camera_pose=base.camera_pose,
-            occluder=OccluderSpec(depth=2.0, fraction=0.2),
-            seed=2,
-        )
-        at_centre, farther = (
-            tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=offset, seed=2)
-            for offset in (0.0, -0.2)
-        )
-        for spec in (behind, at_centre, farther):
+        # unoccluded scene. The offsets put it at the object's centre,
+        # 0.2 m behind it, and at depth 2 m.
+        for offset in (0.0, -0.2, -1.5):
+            spec = tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=offset, seed=2)
             with pytest.raises(ValueError, match="no pixel of its region"):
                 generate_scene(spec)
 
@@ -238,40 +227,41 @@ class TestGenerateScene:
             assert str(got.value) == str(want.value)
 
     def test_spec_validation(self):
-        base = tabletop_scene("t", 0.8)
         with pytest.raises(ValueError):
-            SceneSpec("t", -1.0, base.true_pose, base.camera_pose)
+            SceneSpec("t", -1.0)
         with pytest.raises(ValueError):
-            SceneSpec("t", 0.8, base.true_pose, base.camera_pose, depth_noise=-0.1)
+            SceneSpec("t", 0.8, depth_noise=-0.1)
         for field in ("depth_noise", "shape_noise"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=field):
-                    SceneSpec("t", 0.8, base.true_pose, base.camera_pose, **{field: bad})
+                    SceneSpec("t", 0.8, **{field: bad})
         with pytest.raises(ValueError):
-            OccluderSpec(depth=0.4, fraction=1.5)
+            SceneSpec("t", 0.8, occluder_fraction=1.5)
         # An infinite depth never wins the nearer-of test; it used to pass
-        # and render the scene unoccluded.
-        for bad in (math.inf, math.nan, 0.0, -0.1):
+        # and render the scene unoccluded. The occluder stands at depth
+        # object_depth - occluder_offset = 0.5 - offset.
+        for offset in (-math.inf, math.nan, 0.5, 0.6):
             with pytest.raises(ValueError, match="occluder depth"):
-                OccluderSpec(bad, 0.2)
-        with pytest.raises(ValueError, match="occluder depth"):
-            tabletop_scene("t", 0.8, occluder_fraction=0.2, occluder_offset=-math.inf)
+                SceneSpec("t", 0.8, occluder_fraction=0.2, occluder_offset=offset)
+        with pytest.raises(ValueError, match="unknown mesh id"):
+            SceneSpec("t", 0.8, mesh_id="banana")
 
     @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
     def test_true_scale_must_be_finite_and_positive(self, scale):
-        # inf used to pass SceneSpec, and tabletop_scene then failed on its
-        # camera pose with a message that named no field.
+        # inf used to fail on the camera pose with a message that named no
+        # field.
         base = tabletop_scene("t", 0.8)
         with pytest.raises(ValueError, match="true_scale"):
-            SceneSpec("t", scale, base.true_pose, base.camera_pose)
-        with pytest.raises(ValueError, match="true_scale"):
             tabletop_scene("t", scale)
+        with pytest.raises(ValueError, match="true_scale"):
+            dataclasses.replace(base, true_scale=scale)
         with pytest.raises(ValueError, match="true_scale"):
             simulate_rgb_estimate(base.true_pose, scale)
 
     def test_occluder_fraction_validation(self):
-        assert tabletop_scene("t", 0.8, occluder_fraction=0.0).occluder is None
-        assert tabletop_scene("t", 0.8, occluder_fraction=0.2).occluder.fraction == 0.2
+        # At fraction 0 there is no occluder, so its offset is not read.
+        assert tabletop_scene("t", 0.8, occluder_offset=math.inf).occluder_fraction == 0.0
+        assert tabletop_scene("t", 0.8, occluder_fraction=0.2).occluder_fraction == 0.2
         # NaN used to pass as "no occluder" and render an unoccluded scene.
         for bad in (math.nan, -0.1, 1.0, math.inf):
             with pytest.raises(ValueError, match="occluder_fraction"):
@@ -299,6 +289,21 @@ class TestUnseenScenes:
 
 
 class TestTabletopGeometry:
+    @pytest.mark.parametrize("mesh_id", ["apple", "sphere", "cube"])
+    def test_poses_follow_the_fields(self, mesh_id):
+        # Both poses are derived, bit for bit, from the fields; replace()
+        # derives them again, so a larger scale raises the camera.
+        dy = builtin_model(mesh_id)[1].dy
+        spec = SceneSpec("t", 0.793, object_depth=0.6, mesh_id=mesh_id)
+        moved = dataclasses.replace(spec, true_scale=1.011)
+        for scene in (spec, moved):
+            camera_z = 0.6 + 0.5 * scene.true_scale * dy
+            assert scene.camera_pose.position.tobytes() == np.array([0.0, 0.0, camera_z]).tobytes()
+            assert scene.camera_pose.orientation == UnitQuaternion(0.0, 1.0, 0.0, 0.0)
+            assert scene.true_pose.position.tobytes() == np.array([0.0, 0.0, 0.6]).tobytes()
+            assert scene.true_pose.orientation == quat_x(-math.pi / 2.0)
+        assert moved.camera_pose.position[2] > spec.camera_pose.position[2]
+
     def test_object_rests_on_table(self):
         spec = tabletop_scene("t", 0.7, object_depth=0.55)
         assert spec.true_pose.position[2] == pytest.approx(0.55)
@@ -346,7 +351,7 @@ class TestDefaultSweep:
         specs = default_sweep()
         assert [s.true_scale for s in specs] == list(DEFAULT_SCALE_LEVELS)
         assert [s.seed for s in specs] == list(range(len(DEFAULT_SCALE_LEVELS)))
-        assert all(s.occluder is None and s.mesh_id == "apple" for s in specs)
+        assert all(s.occluder_fraction == 0.0 and s.mesh_id == "apple" for s in specs)
 
     def test_scales_seed_and_scene_fields_pass_through(self):
         specs = default_sweep(
@@ -360,7 +365,7 @@ class TestDefaultSweep:
             assert spec.mesh_id == "cube"
             assert spec.true_pose.position[2] == 0.6
             assert spec.camera_pose.position[2] == 0.6 + 0.5 * spec.true_scale * cube.dy
-            assert spec.occluder == OccluderSpec(0.6 - 0.1, 0.2)
+            assert (spec.occluder_fraction, spec.occluder_offset) == (0.2, 0.1)
             assert (spec.depth_noise, spec.shape_noise) == (0.0, 0.0)
 
 
