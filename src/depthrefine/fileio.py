@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, UnitQuaternion
+from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, UnitQuaternion, _real
 from .renderer import DepthMap, TriangleMesh
 
 log = logging.getLogger(__name__)
@@ -237,8 +237,8 @@ _F32_TINY, _F32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float3
 def _scale_depths(data: np.ndarray, factor: float, label: str) -> np.ndarray:
     """Multiply float32 depths in place by `factor` and return them; raise
     ValueError naming `label` unless `factor` lies in [_F32_TINY, _F32_MAX]."""
-    if not _F32_TINY <= factor <= _F32_MAX:  # NaN fails too
-        raise ValueError(f"{label} must lie in [{_F32_TINY:.6g}, {_F32_MAX:.6g}], got {factor}")
+    _real(label, factor, f"in [{_F32_TINY:.6g}, {_F32_MAX:.6g}]",
+          lambda v: _F32_TINY <= v <= _F32_MAX)
     if factor != 1.0:
         # An overflowing product reaches DepthMap's finite check as inf.
         with np.errstate(over="ignore"):
@@ -247,17 +247,11 @@ def _scale_depths(data: np.ndarray, factor: float, label: str) -> np.ndarray:
 
 
 def _number(key: str, val) -> float:
-    """`val` as a float: a JSON number, not a bool, within float range and
-    finite. Raises ValueError naming the field `key`."""
+    """`val` as a float: a JSON number, not a bool, and finite. Raises
+    ValueError naming the field `key`."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"field {key!r} must be a number")
-    try:
-        val = float(val)
-    except OverflowError:
-        raise ValueError(f"field {key!r} is an integer beyond float range") from None
-    if not math.isfinite(val):
-        raise ValueError(f"field {key!r} must be finite")
-    return val
+    return _real(f"field {key!r}", val, "finite", math.isfinite)
 
 
 def _field(doc: dict, key: str, size: int = 0):

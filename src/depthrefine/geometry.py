@@ -28,7 +28,10 @@ MAX_IMAGE_PIXELS = 100_000_000
 
 def as_vec3(v) -> np.ndarray:
     """Validate and convert to a float64 3-vector with finite components."""
-    arr = np.asarray(v, dtype=np.float64)
+    try:
+        arr = np.asarray(v, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("vector components must be finite, got an int beyond float range") from None
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     # `math.isfinite` on three floats is cheaper than a numpy reduction.
@@ -39,13 +42,16 @@ def as_vec3(v) -> np.ndarray:
 
 def _real(name: str, value, rule: str, ok) -> float:
     """`value` as a float, when `ok(value)` holds; `rule` says in words what
-    `ok` asks. Anything else, an int too large for a float included, raises
-    ValueError naming `name`."""
+    `ok` asks. Anything else, an int too large for a float or a non-number
+    included, raises ValueError naming `name`."""
     try:
         if ok(value):
             return float(value)
+        float(value)  # so that an int beyond float range is named as one
     except OverflowError:
         raise ValueError(f"{name} must be {rule}, got an int beyond float range") from None
+    except (TypeError, ValueError):
+        pass
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -77,7 +83,10 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        q = np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
+        try:
+            q = np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
+        except OverflowError:
+            raise ValueError("quaternion components must be finite, got an int beyond float range") from None
         w, x, y, z = q.tolist()
         # hypot cannot overflow, so a huge component fails this gate before
         # the dot product below could overflow; a NaN or inf one fails it too.
@@ -179,11 +188,8 @@ class CameraIntrinsics:
         _positive("fy", self.fy)
         if self.width * self.height > MAX_IMAGE_PIXELS:
             raise ValueError(f"image {self.width}x{self.height} exceeds {MAX_IMAGE_PIXELS} pixels")
-        # NaN and inf fail these range checks too.
-        if not (0 < self.cx < self.width):
-            raise ValueError(f"cx={self.cx} outside (0, {self.width})")
-        if not (0 < self.cy < self.height):
-            raise ValueError(f"cy={self.cy} outside (0, {self.height})")
+        _real("cx", self.cx, f"in (0, {self.width})", lambda v: 0 < v < self.width)
+        _real("cy", self.cy, f"in (0, {self.height})", lambda v: 0 < v < self.height)
 
 
 @dataclass(frozen=True)

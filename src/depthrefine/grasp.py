@@ -53,8 +53,7 @@ class GraspSamplingConfig:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.alpha_samples * self.theta_samples > MAX_GRID_CELLS:
             raise ValueError(f"alpha_samples * theta_samples must be at most {MAX_GRID_CELLS}")
-        if not 0.0 < self.theta_max <= math.pi:
-            raise ValueError("theta_max must be in (0, pi]")
+        _real("theta_max", self.theta_max, "in (0, pi]", lambda v: 0.0 < v <= math.pi)
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, list]:
@@ -93,9 +92,6 @@ class GraspCandidate:
     alpha: float
     theta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-
 
 def sample_candidates(
     refined_position, cfg: GraspSamplingConfig
@@ -108,11 +104,15 @@ def sample_candidates(
     """
     center = as_vec3(refined_position)
     offsets, cells = cfg._grid
-    positions = center + cfg.radius * offsets
-    keep = (positions[:, 2] >= cfg.table_height).tolist()
+    # A sum beyond float range is refused below, as an infinite position.
+    with np.errstate(over="ignore"):
+        positions = center + cfg.radius * offsets
+    keep = positions[:, 2] >= cfg.table_height
+    if not np.isfinite(positions[keep]).all():
+        raise ValueError("candidate positions must be finite; the center or radius is too large")
     out = [
         GraspCandidate(position, *cell)
-        for position, cell, kept in zip(positions, cells, keep)
+        for position, cell, kept in zip(positions, cells, keep.tolist())
         if kept
     ]
     if not out:

@@ -142,11 +142,10 @@ class SceneSpec:
     def __post_init__(self):
         _positive("true_scale", self.true_scale)
         _positive("object_depth", self.object_depth)
-        if not 0.0 <= self.occluder_fraction < 1.0:
-            raise ValueError(f"occluder_fraction must be in [0, 1), got {self.occluder_fraction}")
+        _real("occluder_fraction", self.occluder_fraction, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+        offset = _real("occluder_offset", self.occluder_offset, "within float range and not NaN",
+                       lambda v: not math.isnan(v))
         if self.occluder_fraction > 0.0:
-            offset = _real("occluder_offset", self.occluder_offset, "within float range",
-                           lambda v: True)
             # An infinite depth never wins the nearer-of test, so the scene
             # would come out unoccluded.
             _positive("occluder depth", self.object_depth - offset)
@@ -180,12 +179,6 @@ class EvalRecord:
     dimensional_error: float | None
     mu_error: float | None
     success: bool
-
-    def __post_init__(self):
-        if self.success and not (
-            self.dimensional_error is not None and self.dimensional_error >= 0.0
-        ):
-            raise ValueError("dimensional_error must be non-negative")
 
 
 def simulate_rgb_estimate(true_pose: Pose, true_scale: float) -> Pose:

@@ -27,6 +27,7 @@ from .geometry import (
     CuboidDims,
     Pose,
     _positive,
+    _real,
     apply_sigma_to_pose,
 )
 # objective calls render_depth; the benchmark tracer also wraps it here.
@@ -47,11 +48,9 @@ class RefineConfig:
     min_inlier_fraction: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.bound_fraction < 1.0:
-            raise ValueError("bound_fraction must be in (0, 1)")
+        _real("bound_fraction", self.bound_fraction, "in (0, 1)", lambda v: 0.0 < v < 1.0)
         _positive("inlier_threshold", self.inlier_threshold)
-        if not 0.0 < self.min_inlier_fraction <= 1.0:
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
+        _real("min_inlier_fraction", self.min_inlier_fraction, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 @dataclass(frozen=True)

@@ -551,6 +551,17 @@ class TestSampleGrasps:
         assert "radius" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_position_overflow_exits_2(self, tmp_path, capsys):
+        # Used to warn from numpy (exit 1 under the warning filter).
+        out = tmp_path / "grasps.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sample-grasps", "--position", "1.7e308", "0", "0",
+                       "--radius", "1e308", "--out", str(out)])
+        assert rc == EXIT_INVALID_INPUT
+        assert "candidate positions must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_beyond_float_range_exits_2(self, tmp_path, capsys):
         # An int too large for a float used to exit 1 with OverflowError.
         out = tmp_path / "grasps.json"

