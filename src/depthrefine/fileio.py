@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, UnitQuaternion, _real
+from .geometry import MAX_IMAGE_PIXELS, CameraIntrinsics, CuboidDims, Pose, UnitQuaternion, _count, _real
 from .renderer import DepthMap, TriangleMesh
 
 log = logging.getLogger(__name__)
@@ -207,7 +207,8 @@ def load_depth(path) -> DepthMap:
         scale = float(tokens[3])
     except ValueError:
         raise ValueError("non-numeric header field") from None
-    if width <= 0 or height <= 0 or width * height > MAX_IMAGE_PIXELS:
+    width, height = _count("width", width), _count("height", height)
+    if width * height > MAX_IMAGE_PIXELS:
         raise ValueError(f"dimensions {width}x{height} overflow sane bounds")
     if scale > 0:
         raise ValueError("big-endian PFM not supported (scale must be negative)")
@@ -237,8 +238,8 @@ _F32_TINY, _F32_MAX = float(np.finfo(np.float32).tiny), float(np.finfo(np.float3
 def _scale_depths(data: np.ndarray, factor: float, label: str) -> np.ndarray:
     """Multiply float32 depths in place by `factor` and return them; raise
     ValueError naming `label` unless `factor` lies in [_F32_TINY, _F32_MAX]."""
-    _real(label, factor, f"in [{_F32_TINY:.6g}, {_F32_MAX:.6g}]",
-          lambda v: _F32_TINY <= v <= _F32_MAX)
+    factor = _real(label, factor, f"in [{_F32_TINY:.6g}, {_F32_MAX:.6g}]",
+                   lambda v: _F32_TINY <= v <= _F32_MAX)
     if factor != 1.0:
         # An overflowing product reaches DepthMap's finite check as inf.
         with np.errstate(over="ignore"):
@@ -246,25 +247,17 @@ def _scale_depths(data: np.ndarray, factor: float, label: str) -> np.ndarray:
     return data
 
 
-def _number(key: str, val) -> float:
-    """`val` as a float: a JSON number, not a bool, and finite. Raises
-    ValueError naming the field `key`."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ValueError(f"field {key!r} must be a number")
-    return _real(f"field {key!r}", val, "finite", math.isfinite)
-
-
 def _field(doc: dict, key: str, size: int = 0):
-    """The number at doc[key], or with `size` the list of that many numbers,
-    each read by `_number`."""
+    """The finite number at doc[key], or with `size` the list of that many
+    finite numbers, as floats. Raises ValueError naming the field `key`."""
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
     val = doc[key]
     if not size:
-        return _number(key, val)
+        return _real(f"field {key!r}", val, "finite", math.isfinite)
     if not (isinstance(val, list) and len(val) == size):
         raise ValueError(f"field {key!r} must be a {size}-element array")
-    return [_number(key, v) for v in val]
+    return [_real(f"field {key!r}", v, "finite", math.isfinite) for v in val]
 
 
 def _pose_from(doc: dict) -> Pose:

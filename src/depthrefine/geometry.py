@@ -41,12 +41,13 @@ def as_vec3(v) -> np.ndarray:
 
 
 def _real(name: str, value, rule: str, ok) -> float:
-    """`value` as a float, when `ok(value)` holds; `rule` says in words what
-    `ok` asks. Anything else, an int too large for a float or a non-number
-    included, raises ValueError naming `name`."""
+    """`value` as a float, when it is no bool and `ok` holds for it as given
+    and as that float (a Decimal may round onto an open end or to inf); `rule`
+    says in words what `ok` asks. Anything else, an int too large for a float
+    or a non-number included, raises ValueError naming `name`."""
     try:
-        if ok(value):
-            return float(value)
+        if not isinstance(value, (bool, np.bool_)) and ok(value) and ok(real := float(value)):
+            return real
         float(value)  # so that an int beyond float range is named as one
     except OverflowError:
         raise ValueError(f"{name} must be {rule}, got an int beyond float range") from None
@@ -68,6 +69,11 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _check_field(obj, name: str, rule, *args) -> None:
+    """Set the frozen field `name` of `obj` to what `rule` returns for it."""
+    object.__setattr__(obj, name, rule(name, getattr(obj, name), *args))
+
+
 @dataclass(frozen=True)
 class UnitQuaternion:
     """Unit quaternion (w, x, y, z), Hamilton convention.
@@ -83,21 +89,16 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        try:
-            q = np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
-        except OverflowError:
-            raise ValueError("quaternion components must be finite, got an int beyond float range") from None
-        w, x, y, z = q.tolist()
-        # hypot cannot overflow, so a huge component fails this gate before
-        # the dot product below could overflow; a NaN or inf one fails it too.
+        w, x, y, z = (_real("quaternion components", v, "finite", math.isfinite)
+                      for v in (self.w, self.x, self.y, self.z))
+        # hypot cannot overflow, so a huge component fails here, before q.dot(q) could.
         length = math.hypot(w, x, y, z)
         if not abs(length - 1.0) <= UNIT_NORM_TOL:
-            if not np.isfinite(q).all():
-                raise ValueError(f"quaternion components must be finite, got {q}")
             raise ValueError(f"quaternion norm {length:.6g} too far from 1")
         # Normalize by `np.linalg.norm`'s own 1-D formula for its exact bits;
         # a sum of Python squares differs in the last bit on about 11% of
         # near-unit inputs.
+        q = np.array([w, x, y, z])
         norm = math.sqrt(q.dot(q))
         if w < 0.0:
             norm = -norm
@@ -183,13 +184,13 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        _positive("fx", self.fx)
-        _positive("fy", self.fy)
+            _check_field(self, name, _count)
+        for name in ("fx", "fy"):
+            _check_field(self, name, _positive)
         if self.width * self.height > MAX_IMAGE_PIXELS:
             raise ValueError(f"image {self.width}x{self.height} exceeds {MAX_IMAGE_PIXELS} pixels")
-        _real("cx", self.cx, f"in (0, {self.width})", lambda v: 0 < v < self.width)
-        _real("cy", self.cy, f"in (0, {self.height})", lambda v: 0 < v < self.height)
+        _check_field(self, "cx", _real, f"in (0, {self.width})", lambda v: 0 < v < self.width)
+        _check_field(self, "cy", _real, f"in (0, {self.height})", lambda v: 0 < v < self.height)
 
 
 @dataclass(frozen=True)
@@ -202,13 +203,13 @@ class CuboidDims:
 
     def __post_init__(self):
         for name in ("dx", "dy", "dz"):
-            _positive(name, getattr(self, name))
+            _check_field(self, name, _positive)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz], dtype=np.float64)
 
     def scaled(self, factor: float) -> CuboidDims:
-        _positive("scale factor", factor)
+        factor = _positive("scale factor", factor)
         return CuboidDims(factor * self.dx, factor * self.dy, factor * self.dz)
 
 
@@ -220,7 +221,7 @@ def apply_sigma_to_pose(pose: Pose, sigma: float) -> tuple[Pose, float]:
     by sigma and shrinking the object by mu leaves the projected
     silhouette unchanged. Orientation is untouched.
     """
-    _real("sigma", sigma, "finite", math.isfinite)
+    sigma = _real("sigma", sigma, "finite", math.isfinite)
     p = pose.position
     norm = float(np.linalg.norm(p))
     if norm == 0.0:

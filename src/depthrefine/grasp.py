@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoFeasibleCandidateError
-from .geometry import UnitQuaternion, _count, _positive, _real, as_vec3, quat_mul, quat_y, quat_z
+from .geometry import UnitQuaternion, _check_field, _count, _positive, _real, as_vec3, quat_mul, quat_y, quat_z
 
 # The most grid cells a config may ask for; the grid is built cell by cell in
 # Python (about 13 us each), so this bounds its first use to a second or two.
@@ -45,15 +45,17 @@ class GraspSamplingConfig:
     table_height: float = -math.inf
 
     def __post_init__(self):
-        _positive("radius", self.radius)
+        _check_field(self, "radius", _positive)
         # -inf (the default) disables the filter; NaN would disable it silently.
-        _real("table_height", self.table_height, "within float range and not NaN",
-              lambda v: not math.isnan(v))
+        _check_field(self, "table_height", _real, "within float range and not NaN",
+                     lambda v: not math.isnan(v))
         for name in ("alpha_samples", "theta_samples"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            _check_field(self, name, _count)
         if self.alpha_samples * self.theta_samples > MAX_GRID_CELLS:
             raise ValueError(f"alpha_samples * theta_samples must be at most {MAX_GRID_CELLS}")
-        _real("theta_max", self.theta_max, "in (0, pi]", lambda v: 0.0 < v <= math.pi)
+        _check_field(self, "theta_max", _real, "in (0, pi]", lambda v: 0.0 < v <= math.pi)
+        if not isinstance(self.approach_alignment, UnitQuaternion):
+            raise ValueError("approach_alignment must be a UnitQuaternion")
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, list]:

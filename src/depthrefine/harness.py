@@ -23,6 +23,7 @@ from .geometry import (
     CuboidDims,
     Pose,
     UnitQuaternion,
+    _check_field,
     _count,
     _positive,
     _real,
@@ -140,20 +141,23 @@ class SceneSpec:
     camera_pose: Pose = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _positive("true_scale", self.true_scale)
-        _positive("object_depth", self.object_depth)
-        _real("occluder_fraction", self.occluder_fraction, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
-        offset = _real("occluder_offset", self.occluder_offset, "within float range and not NaN",
-                       lambda v: not math.isnan(v))
+        for name in ("scene_id", "mesh_id"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a str, got {getattr(self, name)!r}")
+        for name in ("true_scale", "object_depth"):
+            _check_field(self, name, _positive)
+        _check_field(self, "occluder_fraction", _real, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+        _check_field(self, "occluder_offset", _real, "within float range and not NaN",
+                     lambda v: not math.isnan(v))
         if self.occluder_fraction > 0.0:
             # An infinite depth never wins the nearer-of test, so the scene
             # would come out unoccluded.
-            _positive("occluder depth", self.object_depth - offset)
+            _positive("occluder depth", self.object_depth - self.occluder_offset)
         for name in ("depth_noise", "shape_noise"):
             # NaN fails every comparison, so it would skip the noise step.
-            _real(name, getattr(self, name), "finite and non-negative",
-                  lambda v: math.isfinite(v) and v >= 0.0)
-        object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
+            _check_field(self, name, _real, "finite and non-negative",
+                         lambda v: math.isfinite(v) and v >= 0.0)
+        _check_field(self, "seed", _count, 0)
         _, dims = builtin_model(self.mesh_id)
         rest_height = 0.5 * self.true_scale * dims.dy
         camera_pose = Pose(
@@ -185,8 +189,7 @@ def simulate_rgb_estimate(true_pose: Pose, true_scale: float) -> Pose:
     """Pose an ideal scale-blind estimator reports for an object of
     `true_scale` times the model size: same image, position pushed to
     p/true_scale, orientation untouched."""
-    _positive("true_scale", true_scale)
-    return Pose(true_pose.position / true_scale, true_pose.orientation)
+    return Pose(true_pose.position / _positive("true_scale", true_scale), true_pose.orientation)
 
 
 def leftmost_region(support: np.ndarray, width: int, fraction: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from .geometry import (
     CameraIntrinsics,
     CuboidDims,
     Pose,
+    _check_field,
     _positive,
     _real,
     apply_sigma_to_pose,
@@ -48,9 +49,9 @@ class RefineConfig:
     min_inlier_fraction: float = 0.3
 
     def __post_init__(self):
-        _real("bound_fraction", self.bound_fraction, "in (0, 1)", lambda v: 0.0 < v < 1.0)
-        _positive("inlier_threshold", self.inlier_threshold)
-        _real("min_inlier_fraction", self.min_inlier_fraction, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+        _check_field(self, "bound_fraction", _real, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+        _check_field(self, "inlier_threshold", _positive)
+        _check_field(self, "min_inlier_fraction", _real, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 @dataclass(frozen=True)

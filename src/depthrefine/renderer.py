@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, _count, _positive, quat_to_matrix
+from .geometry import CameraIntrinsics, Pose, _check_field, _count, _positive, quat_to_matrix
 
 # Triangles with any vertex closer than this are dropped whole rather than
 # clipped; refinement operates far from the near plane.
@@ -85,7 +85,7 @@ class DepthMap:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            _check_field(self, name, _count)
         # A value beyond float32 casts to inf, which the check below refuses.
         with np.errstate(over="ignore"):
             data = np.asarray(self.data, dtype=np.float32)
@@ -139,7 +139,7 @@ def _rasterize(
     Raises ValueError when a posed vertex is not finite or projects beyond
     1e150 pixels, and as `DepthMap` would on a depth beyond float32.
     """
-    _positive("scale", scale)
+    scale = _positive("scale", scale)
     w, h = intr.width, intr.height
 
     rot = quat_to_matrix(pose.orientation)

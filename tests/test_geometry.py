@@ -4,6 +4,8 @@ import dataclasses
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from depthrefine import (
     SceneSpec,
     UnitQuaternion,
     apply_sigma_to_pose,
+    builtin_model,
+    generate_scene,
     quat_mul,
+    refine,
     sample_candidates,
     transform_point,
 )
@@ -334,6 +339,35 @@ NON_NUMBER_SITES = {
     "interval": INTERVAL_SITES["RefineConfig.bound_fraction"][:2],
 }
 
+# One site of each rule, for a bool: a number to the numbers module, but no
+# length, count or seed.
+BOOL_SITES = {**NON_NUMBER_SITES, "quaternion": VECTOR_SITES["UnitQuaternion"]}
+
+# Every real field of the five frozen types, by its site above, at a value
+# that a Decimal, a Fraction and a float32 hold exactly.
+REAL_VALUES = {
+    "CameraIntrinsics.fx": 600, "CameraIntrinsics.fy": 512.5,
+    "CameraIntrinsics.cx": 320, "CameraIntrinsics.cy": 239.5,
+    "CuboidDims.dx": 0.125, "CuboidDims.dy": 1, "CuboidDims.dz": 0.0625,
+    "RefineConfig.bound_fraction": 0.5, "RefineConfig": 0.0078125, "RefineConfig.min_inlier_fraction": 1,
+    "GraspSamplingConfig": 0.25, "GraspSamplingConfig.theta_max": 1, "GraspSamplingConfig.table_height": -2,
+    "SceneSpec": 0.75, "tabletop_scene.object_depth": 1, "SceneSpec.occluder_fraction": 0.25,
+    "SceneSpec.occluder_offset": 0, "SceneSpec.depth_noise": 0.001953125, "SceneSpec.shape_noise": 2,
+}
+REAL_SITES = {**POSITIVE_SITES, **NON_NEGATIVE_SITES, **FLOAT_RANGE_SITES,
+              **{site: entry[:2] for site, entry in INTERVAL_SITES.items()}}
+REAL_FORMS = {"int": int, "Decimal": Decimal, "Fraction": Fraction, "float32": np.float32}
+# An int only where it holds the value.
+REAL_CASES = [(site, form) for site, value in REAL_VALUES.items()
+              for form in REAL_FORMS if form != "int" or value == int(value)]
+
+# The same for every count and the seed of those types, each a whole number.
+COUNT_VALUES = {"CameraIntrinsics.width": 641, "CameraIntrinsics.height": 481,
+                "GraspSamplingConfig.alpha_samples": 6, "GraspSamplingConfig.theta_samples": 3,
+                "SceneSpec.seed": 7}
+COUNT_FIELDS = {**COUNT_SITES, "SceneSpec.seed": NON_NEGATIVE_SITES["SceneSpec.seed"]}
+COUNT_FORMS = {"float": float, "Decimal": Decimal, "Fraction": Fraction, "int64": np.int64, "float32": np.float32}
+
 NOT_POSITIVE = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400}
 NEGATIVE = {k: v for k, v in NOT_POSITIVE.items() if k != "0"}
 NOT_POSITIVE_FLOATS = {k: v for k, v in NOT_POSITIVE.items() if k != "10**400"}
@@ -343,7 +377,8 @@ class TestNumberRules:
     """Every positive length, scale and count, every non-negative noise and
     seed, every real that must stay within float range or in an interval,
     and every vector and quaternion component is checked by its rule, whose
-    error names the field: no other exception, and no numpy warning."""
+    error names the field: no other exception, and no numpy warning. A field
+    keeps what its rule returns: a float for a real, an int for a count."""
 
     @staticmethod
     def assert_refused(field, build, value, got=""):
@@ -428,6 +463,58 @@ class TestNumberRules:
         # Each used to end in a TypeError from math, or a ValueError from
         # numpy that named no field.
         self.assert_refused(*NON_NUMBER_SITES[site], value, re.escape(repr(value)))
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+    @pytest.mark.parametrize("site", BOOL_SITES)
+    def test_bool_refused(self, site, value):
+        # Each used to be kept as given, so inlier_threshold=True held True.
+        self.assert_refused(*BOOL_SITES[site], value, re.escape(repr(value)))
+
+    @pytest.mark.parametrize("site, form", REAL_CASES)
+    def test_real_field_holds_a_float(self, site, form):
+        # Each used to keep the value as given, and a Decimal then ended in a
+        # TypeError naming no field once it met a float.
+        field, build = REAL_SITES[site]
+        got = getattr(build(REAL_FORMS[form](REAL_VALUES[site])), field)
+        assert type(got) is float and got == REAL_VALUES[site]
+
+    @pytest.mark.parametrize("site, value", [
+        (INTERVAL_SITES["RefineConfig.bound_fraction"][:2], Decimal("0.99999999999999999999")),
+        (POSITIVE_SITES["RefineConfig"], Decimal("1e400")),
+    ], ids=["rounds onto an open end", "rounds to inf"])
+    def test_refused_when_its_float_breaks_the_rule(self, site, value):
+        # Each passes the rule as a Decimal, but its float is 1.0 or inf.
+        self.assert_refused(*site, value, re.escape(repr(value)))
+
+    @pytest.mark.parametrize("form", COUNT_FORMS)
+    @pytest.mark.parametrize("site", COUNT_VALUES)
+    def test_count_field_holds_an_int(self, site, form):
+        field, build = COUNT_FIELDS[site]
+        got = getattr(build(COUNT_FORMS[form](COUNT_VALUES[site])), field)
+        assert type(got) is int and got == COUNT_VALUES[site]
+
+    @pytest.mark.parametrize("form", [Decimal, Fraction], ids=["Decimal", "Fraction"])
+    def test_pipeline_runs_on_any_real_form(self, form):
+        # Scene, refinement and grasps built from Decimal or Fraction fields
+        # give the bytes the float fields give; each stage used to end in a
+        # TypeError naming no field.
+        mesh, cad = builtin_model("apple")
+
+        def run(real_of):
+            intr = CameraIntrinsics(*map(real_of, (600.0, 600.0, 320.0, 240.0)), 640, 480)
+            spec = SceneSpec("t", real_of(0.8), object_depth=real_of(0.55), occluder_fraction=real_of(0.2),
+                             occluder_offset=real_of(0.1), depth_noise=real_of(0.002), seed=3)
+            depth, coarse = generate_scene(spec, intr)
+            dims = CuboidDims(*map(real_of, cad.as_array().tolist()))
+            cfg = RefineConfig(*map(real_of, (0.8, 0.007, 0.3)))
+            result = refine(coarse, mesh, dims, intr, depth, cfg)
+            world = transform_point(spec.camera_pose, result.refined_pose.position)
+            grasp_cfg = GraspSamplingConfig(real_of(0.15), theta_max=real_of(1.0), table_height=real_of(0.0))
+            candidates = sample_candidates(world, grasp_cfg)
+            return (depth.data.tobytes(), result.mu_opt.hex(), result.inliers.tobytes(),
+                    result.estimated_dims, [c.position.tobytes() for c in candidates])
+
+        assert run(lambda x: form(repr(x))) == run(float)
 
 
 class TestSigmaTransform:

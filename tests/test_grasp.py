@@ -83,6 +83,12 @@ class TestConfig:
         # -inf is the documented "no filter" default.
         assert GraspSamplingConfig(radius=0.1, table_height=-math.inf).table_height == -math.inf
 
+    def test_alignment_must_be_a_quaternion(self):
+        # A tuple used to be accepted, and sample_candidates then ended in an
+        # AttributeError.
+        with pytest.raises(ValueError, match="^approach_alignment must be a UnitQuaternion"):
+            GraspSamplingConfig(0.15, approach_alignment=(1.0, 0.0, 0.0, 0.0))
+
     def test_nan_table_cannot_pass_candidates_below_table(self):
         # Every candidate of an object 1 m under the table is below it, so
         # no value of table_height may yield candidates here.

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,15 @@ class TestTabletopGeometry:
             assert scene.true_pose.position.tobytes() == np.array([0.0, 0.0, 0.6]).tobytes()
             assert scene.true_pose.orientation == quat_x(-math.pi / 2.0)
         assert moved.camera_pose.position[2] > spec.camera_pose.position[2]
+
+    @pytest.mark.parametrize("field, value", [
+        ("mesh_id", ["apple"]), ("mesh_id", None), ("scene_id", None), ("scene_id", 3),
+    ])
+    def test_ids_must_be_str(self, field, value):
+        # A list mesh id used to end in a TypeError from builtin_model's
+        # cache, and a None scene id to pass until run_sweep formatted it.
+        with pytest.raises(ValueError, match=f"^{field} must be a str, got {re.escape(repr(value))}$"):
+            SceneSpec(**{"scene_id": "t", "true_scale": 0.8, field: value})
 
     def test_object_rests_on_table(self):
         spec = tabletop_scene("t", 0.7, object_depth=0.55)

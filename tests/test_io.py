@@ -489,6 +489,17 @@ class TestPfm:
         with pytest.raises(ValueError, match="overflow"):
             load_depth(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"Pf\n0 5\n-1.0\n", "width must be an integral count of at least 1, got 0"),
+        (b"Pf\n5 -2\n-1.0\n", "height must be an integral count of at least 1, got -2"),
+    ])
+    def test_header_size_read_by_count_rule(self, tmp_path, header, message):
+        # Each used to be reported as a size that overflows sane bounds.
+        path = tmp_path / "d.pfm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_depth(path)
+
     def test_rejects_negative_depths(self, tmp_path):
         path = tmp_path / "d.pfm"
         payload = struct.pack("<4f", -1.0, 0.5, 0.5, 0.5)
@@ -590,7 +601,7 @@ class TestSceneConfig:
     ])
     def test_array_components_must_be_numbers(self, tmp_path, field, value):
         # The string and the boolean used to load as 0.0 and 1.0.
-        with pytest.raises(ValueError, match=f"field '{field}' must be a number"):
+        with pytest.raises(ValueError, match=f"field '{field}' must be finite, got "):
             load_scene_config(self.write(tmp_path, scene_doc(**{field: value})))
 
     def test_invalid_json(self, tmp_path):
