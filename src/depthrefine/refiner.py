@@ -117,12 +117,13 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarra
     |d - mu*v| <= inlier_threshold, exactly rather than by sampling: pair
     i agrees with mu when mu lies in [(d_i - t)/v_i, (d_i + t)/v_i], so
     the best mu is the deepest point of n intervals, found by sorting
-    their ends (the 1-D case of maximum consensus; Chin & Suter, 2017).
-    It takes the middle of the first deepest overlap, as an edge would
-    lose, to rounding, the pair that defines it. Returns the ascending
-    int64 positions of the pairs within the threshold of that mu, the
-    consensus itself. Raises DegenerateSceneError when the consensus is
-    below min_inlier_fraction.
+    their ends and counting the ends before each start by one stable merge
+    of the two sorted lists (the 1-D case of maximum consensus; Chin &
+    Suter, 2017). It takes the middle of the first deepest overlap, as an
+    edge would lose, to rounding, the pair that defines it. Returns the
+    ascending int64 positions of the pairs within the threshold of that
+    mu, the consensus itself. Raises DegenerateSceneError when the
+    consensus is below min_inlier_fraction.
     """
     n = len(d)
     if n < 2:
@@ -132,9 +133,10 @@ def ransac_inliers(d: np.ndarray, v: np.ndarray, cfg: RefineConfig) -> np.ndarra
     lo = np.sort((d - t) / v)
     hi = np.sort((d + t) / v)
     # Of the k+1 intervals starting at or before lo[k], all but the ends[k]
-    # that end before it contain it. Tied starts undercount all but the
-    # last of them, which argmax then prefers.
-    ends = np.searchsorted(hi, lo, "left")
+    # that end before it contain it. The stable merge puts each start ahead
+    # of an equal end, so a touching interval counts as containing it. Tied
+    # starts undercount all but the last of them, which argmax then prefers.
+    ends = np.flatnonzero(np.concatenate((lo, hi)).argsort(kind="stable") < n) - np.arange(n)
     k = int(np.argmax(np.arange(1, n + 1) - ends))
     best_mu = (lo[k] + hi[ends[k]]) / 2.0
 

@@ -147,6 +147,22 @@ def _reference_plain_lines(block: bytes, tag: bytes, number_chars: bytes) -> int
     return n
 
 
+def searchsorted_ransac_inliers(d, v, cfg):
+    """`ransac_inliers` with `ends` found by `np.searchsorted(hi, lo, "left")`,
+    a large-n oracle for its stable merge of the two sorted end lists."""
+    n = len(d)
+    t = cfg.inlier_threshold
+    lo = np.sort((d - t) / v)
+    hi = np.sort((d + t) / v)
+    ends = np.searchsorted(hi, lo, "left")
+    k = int(np.argmax(np.arange(1, n + 1) - ends))
+    best_mu = (lo[k] + hi[ends[k]]) / 2.0
+    agree = np.abs(d - best_mu * v) <= t
+    if np.count_nonzero(agree) < math.ceil(cfg.min_inlier_fraction * n):
+        return None
+    return np.flatnonzero(agree)
+
+
 def reference_render_depth(mesh, pose, intr, scale: float = 1.0) -> DepthMap:
     """Bounding-box rasterizer that `render_depth` must match byte for byte.
 

@@ -8,7 +8,11 @@ scene, 5 no feasible candidate.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -759,6 +763,33 @@ class TestLibraryDefaults:
         records, _ = run_sweep(default_sweep())
         expected = [json.dumps(dataclasses.asdict(r)) for r in records]
         assert out.read_text().splitlines() == expected
+
+
+class TestRepeatedMain:
+    """`main` may run many times in one process: it builds its parser once,
+    and each call sees only its own flags."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_and_usage_errors_do_not_outlive_their_call(self, tmp_path):
+        depth, scene, obj = (tmp_path / n for n in ("s.pfm", "s.json", "a.obj"))
+        assert main(["simulate", "--scale", "0.8", "--depth-noise", "0.004", "--seed", "1",
+                     "--out-depth", str(depth), "--out-scene", str(scene)]) == EXIT_OK
+        write_obj(obj, builtin_model("apple")[0])
+        argv = ["refine", "--mesh", str(obj), "--scene", str(scene), "--depth", str(depth)]
+        flags = ["--inlier-threshold", "0.02", "--min-inlier-fraction", "0.5"]
+        assert main([*argv, "--out", str(tmp_path / "flagged.json"), *flags]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc_info:
+            main(["refine"])
+        assert exc_info.value.code == 2
+        assert main([*argv, "--out", str(tmp_path / "plain.json")]) == EXIT_OK
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-m", "depthrefine.cli", *argv,
+                        "--out", str(tmp_path / "fresh.json")], env=env, check=True)
+        plain = (tmp_path / "plain.json").read_bytes()
+        assert plain == (tmp_path / "fresh.json").read_bytes()
+        assert plain != (tmp_path / "flagged.json").read_bytes()
 
 
 def _write(path, data: bytes):

@@ -29,7 +29,7 @@ from depthrefine import (
 from depthrefine.geometry import quat_x
 from depthrefine.refiner import objective, ransac_inliers, residual_samples
 import depthrefine.refiner as refiner_module
-from helpers import square_mesh, traced_peak
+from helpers import searchsorted_ransac_inliers, square_mesh, traced_peak
 
 INTR = DEFAULT_INTRINSICS
 
@@ -236,6 +236,32 @@ class TestRansac:
         got = ransac_inliers(d, v, cfg)
         assert time.perf_counter() - start < 1.0
         assert got.size >= 1
+
+    def test_touching_intervals_overlap(self):
+        # Dyadic values make each d = 1.0 interval [0.75, 1.25] end exactly
+        # where each d = 1.5 interval [1.25, 1.75] starts, so all five pairs
+        # agree only at that shared end, mu = 1.25.
+        d = np.array([1.0, 1.5, 1.0, 1.5, 1.5])
+        v = np.ones(5)
+        cfg = RefineConfig(inlier_threshold=0.25)
+        got = ransac_inliers(d, v, cfg)
+        samples = [(k, float(d[k]), float(v[k])) for k in range(5)]
+        assert frozenset(got.tolist()) == reference_ransac_inliers(samples, cfg)
+        assert got.tolist() == [0, 1, 2, 3, 4]
+
+    def test_full_frame_of_tied_ends_matches_searchsorted(self):
+        # A 640x480 frame, too many pairs for the O(n**2) oracle, of few
+        # distinct dyadic depths: each interval end is shared by thousands
+        # of pairs, and some ends equal another pair's start exactly.
+        rng = np.random.default_rng(18)
+        n = 640 * 480
+        v = rng.integers(4, 8, n) / 8.0
+        d = 0.875 * v + rng.integers(-2, 3, n) / 64.0
+        d[rng.random(n) < 0.3] -= 0.25
+        cfg = RefineConfig(inlier_threshold=1 / 32)
+        want = searchsorted_ransac_inliers(d, v, cfg)
+        assert want is not None and 0 < want.size < n
+        assert np.array_equal(ransac_inliers(d, v, cfg), want)
 
     def test_tiny_min_fraction_same_inliers_in_bounded_memory(self):
         rng = np.random.default_rng(15)
